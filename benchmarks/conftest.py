@@ -36,21 +36,10 @@ def toolchain():
     return default_toolchain()
 
 
-#: Rows appended by builder benchmarks: (unit, variant, seconds, passes,
-#: dictionary size).  Rendered into pipeline_stats.txt at session end so
-#: the dictionary-builder wall clock is recorded alongside stage stats.
-_BUILDER_TIMINGS = []
-
 #: Rows appended by corpus-build benchmarks: (variant, wall seconds,
 #: BRISC-stage seconds, units compiled).  One table row per end-to-end
 #: corpus build, the tentpole acceptance metric.
 _CORPUS_TIMINGS = []
-
-
-@pytest.fixture(scope="session")
-def builder_timings():
-    """Collector for per-variant dictionary-builder wall-clock rows."""
-    return _BUILDER_TIMINGS
 
 
 @pytest.fixture(scope="session")
@@ -133,14 +122,11 @@ def pipeline_stats_report(results_dir):
     for name, row in prev_stages.items():
         stages.setdefault(name, row)
 
-    builder_rows = _merge_rows(
-        previous.get("builder_timings", []), _BUILDER_TIMINGS, key_width=2)
     corpus_rows = _merge_rows(
         previous.get("corpus_timings", []), _CORPUS_TIMINGS, key_width=1)
 
     raw_path.write_text(json.dumps(
-        {"stages": stages, "builder_timings": builder_rows,
-         "corpus_timings": corpus_rows},
+        {"stages": stages, "corpus_timings": corpus_rows},
         indent=2, sort_keys=True) + "\n")
 
     text = toolchain_stats_table(
@@ -150,12 +136,6 @@ def pipeline_stats_report(results_dir):
             ["corpus build", "seconds", "brisc s", "units"],
             [[variant, f"{seconds:8.2f}", f"{brisc:8.2f}", str(units)]
              for variant, seconds, brisc, units in corpus_rows],
-        )
-    if builder_rows:
-        text += "\n\n" + render_table(
-            ["builder timing", "variant", "seconds", "passes", "dict"],
-            [[unit, variant, f"{seconds:8.2f}", str(passes), str(size)]
-             for unit, variant, seconds, passes, size in builder_rows],
         )
     save_table(results_dir, "pipeline_stats", text)
 

@@ -13,8 +13,10 @@
    while the batch keeps going through failover and client retries;
 5. after the batch, sweep once more and interrogate every node's stats,
    asserting the acceptance contract: every request completed, every
-   blob byte-identical to the reference, and (after any restart) at
-   least one artifact refilled over federation instead of recompiled.
+   blob byte-identical to the reference, and every restarted node
+   refilled at least one artifact over federation instead of
+   recompiling.  :attr:`ClusterReport.reasons` names each unmet
+   condition.
 
 Everything is seeded; a failing run reproduces from its command line.
 """
@@ -54,36 +56,52 @@ class ClusterReport:
     federation_fills: int = 0
     federation_bytes: int = 0
     refilled_after_restart: int = 0
+    #: Restarted node address -> refill probes it took (see run_cluster).
+    refill_probes: Dict[str, int] = field(default_factory=dict)
     per_node: Dict[str, Any] = field(default_factory=dict)
     router: Dict[str, Any] = field(default_factory=dict)
     errors: List[str] = field(default_factory=list)
 
     @property
+    def reasons(self) -> List[str]:
+        """One line per unmet acceptance condition; empty when ``ok``."""
+        out: List[str] = []
+        if self.failed:
+            out.append(f"{self.failed} request(s) failed")
+        if self.mismatched:
+            out.append(f"{self.mismatched} blob(s) differ from the "
+                       f"single-node reference")
+        if self.errors:
+            out.append(f"{len(self.errors)} error(s) recorded")
+        # A restarted node came back with an empty store; it must have
+        # refilled from a peer, not recompiled.
+        for address, probes in sorted(self.refill_probes.items()):
+            federation = _federation(self.per_node.get(address, {}))
+            if int(federation.get("fills", 0)) > 0:
+                continue
+            out.append(
+                f"restarted node {address} refilled 0 artifacts from peers "
+                f"after {probes} refill probe(s) (federation probes "
+                f"{federation.get('probes', 0)}, peek hits "
+                f"{federation.get('peek_hits', 0)})")
+        return out
+
+    @property
     def ok(self) -> bool:
-        basics = (self.failed == 0 and self.mismatched == 0
-                  and not self.errors)
-        if self.chaos and self.restarts:
-            # A restarted node came back with an empty store; the final
-            # sweep must have refilled it from a peer, not a recompile.
-            return basics and self.refilled_after_restart > 0
-        return basics
+        return not self.reasons
 
 
-def _reference_blobs(units: Sequence[str]) -> Dict[str, bytes]:
-    """Single-node ground truth: each unit's wire blob, compiled locally."""
-    from ..corpus import get_sample, suite_source
+def _federation(stats: Dict[str, Any]) -> Dict[str, Any]:
+    """The federation counters inside one node's ``stats`` reply."""
+    return stats.get("toolchain", {}).get("cache", {}).get("federation", {})
+
+
+def _reference_blob(name: str, source: str) -> bytes:
+    """Single-node ground truth: the unit's wire blob, compiled locally."""
     from ..pipeline import default_toolchain
 
-    toolchain = default_toolchain()
-    blobs: Dict[str, bytes] = {}
-    for unit in units:
-        try:
-            source = suite_source(unit)
-        except KeyError:
-            source = get_sample(unit)
-        result = toolchain.compile(source, name=unit, stages=("wire",))
-        blobs[unit] = result.wire_blob
-    return blobs
+    return default_toolchain().compile(
+        source, name=name, stages=("wire",)).wire_blob
 
 
 def _unit_sources(units: Sequence[str]) -> Dict[str, str]:
@@ -180,6 +198,38 @@ def _batch_worker(host: str, port: int, jobs, sources, references,
         client.close()
 
 
+def _refill_probe(node, peer, name: str, source: str,
+                  report: ClusterReport, deadline: float, retries: int,
+                  timeout: float) -> bool:
+    """Compile ``name`` on ``peer``, then fetch it from ``node``, which
+    has never seen it: the node serves it either by recompiling or by a
+    federation fill from the peer.  Checks the reply against the
+    single-node reference and returns whether probing ``node`` is done:
+    its federation fills are nonzero afterwards, or the probe itself
+    failed (recorded in ``report``)."""
+    try:
+        with ServiceClient(peer.host, peer.port, timeout=timeout,
+                           retries=retries) as client:
+            client.wire(source, name=name, deadline=deadline)
+        with ServiceClient(node.host, node.port, timeout=timeout,
+                           retries=retries) as client:
+            blob = client.wire(source, name=name, deadline=deadline)
+            stats = client.stats()
+    except (ServiceError, DecodeError, OSError) as exc:
+        report.errors.append(
+            f"refill probe of node {node.index} with {name!r} failed: "
+            f"{type(exc).__name__}: {exc}")
+        return True
+    if blob != _reference_blob(name, source):
+        report.mismatched += 1
+        report.errors.append(
+            f"refill probe: {name!r} from node {node.index} differs from "
+            f"the single-node reference")
+    else:
+        report.completed += 1
+    return int(_federation(stats).get("fills", 0)) > 0
+
+
 def _node_stats(supervisor: ClusterSupervisor,
                 timeout: float = 5.0) -> Dict[str, Any]:
     stats: Dict[str, Any] = {}
@@ -215,8 +265,9 @@ def run_cluster(
         raise ValueError("at least one corpus unit required")
     report = ClusterReport(nodes=nodes, units=units, rounds=rounds,
                            chaos=chaos, seed=seed)
-    references = _reference_blobs(units)
     sources = _unit_sources(units)
+    references = {unit: _reference_blob(unit, sources[unit])
+                  for unit in units}
 
     supervisor = ClusterSupervisor(nodes, host=host,
                                    concurrency=node_concurrency,
@@ -232,20 +283,12 @@ def run_cluster(
             if not router.wait_alive(nodes, timeout=15.0):
                 raise RuntimeError("router never saw every node alive")
 
-            # The router's unit->node assignment, reproduced locally:
-            # used to aim chaos kills at nodes that own traffic and to
-            # pick the cross-node unit for the post-restart refill probe.
-            from .ring import HashRing
-
-            ring = HashRing(supervisor.addresses,
-                            replicas=router.router.config.replicas)
-            owner_of = {unit: ring.node_for(unit) for unit in units}
-
             chaos_thread: Optional[_ChaosRunner] = None
             if chaos and kills > 0:
                 from dataclasses import replace
 
                 from ..faults import node_kill_schedule
+                from .ring import HashRing
 
                 # Scale the window to the batch's likely duration: one
                 # compile per unit lands in the first round, the rest
@@ -254,13 +297,14 @@ def run_cluster(
                 schedule = node_kill_schedule(
                     nodes, kills, seed=seed, window=window,
                     restart_after=restart_after)
-                # Remap victims onto nodes that own at least one unit:
-                # killing a node no unit hashes to would exercise
-                # nothing — no failover, and no federation refill for
-                # the acceptance check to see.
+                # Remap victims onto nodes that own at least one unit
+                # (the router's assignment, reproduced locally): killing
+                # a node no unit hashes to would exercise no failover.
+                ring = HashRing(supervisor.addresses,
+                                replicas=router.router.config.replicas)
                 owners = sorted({
-                    supervisor.addresses.index(address)
-                    for address in owner_of.values()
+                    supervisor.addresses.index(ring.node_for(unit))
+                    for unit in units
                 })
                 schedule = [replace(kill, node=owners[kill.node % len(owners)])
                             for kill in schedule]
@@ -302,59 +346,42 @@ def run_cluster(
                           sources, references, report, lock,
                           deadline, retries, timeout)
 
-            # Refill probe: ask each restarted node *directly* for a
-            # unit a live peer owns (and therefore holds warm).  The
-            # router sweep alone cannot guarantee a refill — a kill
-            # that lands between batch requests leaves no peer holding
-            # the victim's own units — but a cross-node fetch from an
-            # empty store must come back over federation, so this is
-            # the deterministic witness that a restarted node heals
-            # from its peers instead of recompiling.
+            # Refill probe: the deterministic witness that a restarted
+            # node heals from its peers instead of recompiling.  The
+            # router sweep alone cannot guarantee a refill: a kill that
+            # lands between batch requests leaves no peer holding the
+            # victim's units, and when every unit hashes to the victim
+            # no peer holds anything.  So the probe warms a live peer
+            # with a renamed copy of a unit (fresh cache keys
+            # everywhere) and fetches it from the restarted node
+            # directly.  A peer ``cache_peek`` can time out on a loaded
+            # host, and the node then recompiles; so the probe moves on
+            # to the next unit until the node's own stats show a fill.
             for node in supervisor.nodes:
                 if not node.restarts:
                     continue
-                probe_units = [u for u, owner in owner_of.items()
-                               if owner != node.address]
-                if not probe_units:
-                    continue
-                unit = probe_units[0]
-                try:
-                    with ServiceClient(node.host, node.port,
-                                       timeout=timeout,
-                                       retries=retries) as client:
-                        blob = client.wire(sources[unit], name=unit,
-                                           deadline=deadline)
-                except (ServiceError, DecodeError, OSError) as exc:
-                    report.errors.append(
-                        f"refill probe of node {node.index} with "
-                        f"{unit!r} failed: {type(exc).__name__}: {exc}")
-                    continue
-                if blob != references[unit]:
-                    report.mismatched += 1
-                    report.errors.append(
-                        f"refill probe: {unit!r} from node {node.index} "
-                        f"differs from the single-node reference")
-                else:
-                    report.completed += 1
+                report.refill_probes[node.address] = 0
+                peers = [p for p in supervisor.nodes
+                         if p is not node and p.running]
+                for unit in units if peers else ():
+                    report.refill_probes[node.address] += 1
+                    if _refill_probe(node, peers[0], f"{unit}.refill-probe",
+                                     sources[unit], report, deadline,
+                                     retries, timeout):
+                        break
             report.elapsed = time.monotonic() - t0
 
             report.per_node = _node_stats(supervisor)
             for stats in report.per_node.values():
-                federation = (stats.get("toolchain", {}).get("cache", {})
-                              .get("federation", {}))
-                fills = int(federation.get("fills", 0))
-                report.federation_fills += fills
+                federation = _federation(stats)
+                report.federation_fills += int(federation.get("fills", 0))
                 report.federation_bytes += int(
                     federation.get("fill_bytes", 0))
             # Fills observed on any node that was killed and restarted:
             # its store was empty, so a fill is necessarily a refill.
-            for node in supervisor.nodes:
-                if node.restarts:
-                    stats = report.per_node.get(node.address, {})
-                    federation = (stats.get("toolchain", {})
-                                  .get("cache", {}).get("federation", {}))
-                    report.refilled_after_restart += int(
-                        federation.get("fills", 0))
+            for address in report.refill_probes:
+                report.refilled_after_restart += int(_federation(
+                    report.per_node.get(address, {})).get("fills", 0))
 
             try:
                 with ServiceClient(host, router.port,
@@ -399,7 +426,7 @@ def format_report(report: ClusterReport) -> str:
             lines.append(f"  {address}: {stats['error']}")
             continue
         cache = stats.get("toolchain", {}).get("cache", {})
-        federation = cache.get("federation", {})
+        federation = _federation(stats)
         out = stats.get("service", {}).get("federation_out", {})
         lines.append(
             f"  {address}: cache {cache.get('hits', 0)} hits / "
@@ -407,6 +434,8 @@ def format_report(report: ClusterReport) -> str:
             f"{federation.get('fills', 0)} ({federation.get('fill_bytes', 0)}"
             f" B) / out {out.get('pulls', 0)} ({out.get('bytes', 0)} B)")
     lines.append("result   : " + ("OK" if report.ok else "FAILED"))
+    for reason in report.reasons:
+        lines.append(f"  reason: {reason}")
     for error in report.errors[:10]:
         lines.append(f"  error: {error}")
     if len(report.errors) > 10:

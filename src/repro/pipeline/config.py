@@ -7,12 +7,9 @@ with different ISAs, BRISC knobs, or wire settings never share artifacts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from ..vm.isa import ISA
-
-if TYPE_CHECKING:  # deferred: brisc is the heaviest import
-    from ..brisc.shared import SharedDictionary
 
 __all__ = ["PipelineConfig"]
 
@@ -29,16 +26,6 @@ class PipelineConfig:
     it); ``brisc_*`` mirror :func:`repro.brisc.compress`'s parameters;
     ``wire_compress`` mirrors :func:`repro.wire.encode_module`'s flag.
 
-    ``brisc_workers`` parallelizes the builder's candidate scan.  It is
-    deliberately *excluded* from the brisc stage's cache-key fragment:
-    the parallel builder is byte-identical to the serial one, so two
-    compiles differing only in worker count share artifacts.
-
-    ``brisc_shared_dict`` warm-starts every unit's builder from a shared
-    corpus dictionary (see :mod:`repro.brisc.shared`).  Unlike
-    ``brisc_workers`` it *changes the output*, so its content digest is
-    hashed into the brisc stage's cache-key fragment.
-
     ``wire_container``/``brisc_container`` select the container layout
     (2 = the flat v2 default, 3 = the seekable chunked v3);
     ``chunk_target_bytes`` caps v3 chunk sizes (in decoded-address-space
@@ -53,8 +40,6 @@ class PipelineConfig:
     brisc_k: int = 20
     brisc_abundant_memory: bool = False
     brisc_max_passes: int = 40
-    brisc_workers: int = 1
-    brisc_shared_dict: Optional["SharedDictionary"] = None
     #: Record a replay journal on brisc artifacts so a later
     #: ``Toolchain.compile(prev=...)`` can replay the build for an edited
     #: unit (see :mod:`repro.brisc.journal`).  Image bytes are unchanged,
@@ -92,8 +77,7 @@ class PipelineConfig:
 
     def with_brisc(self, k: Optional[int] = None,
                    abundant_memory: Optional[bool] = None,
-                   max_passes: Optional[int] = None,
-                   workers: Optional[int] = None) -> "PipelineConfig":
+                   max_passes: Optional[int] = None) -> "PipelineConfig":
         """A copy with the given BRISC knobs overridden."""
         return replace(
             self,
@@ -103,20 +87,11 @@ class PipelineConfig:
                                    else abundant_memory),
             brisc_max_passes=(self.brisc_max_passes
                               if max_passes is None else max_passes),
-            brisc_workers=(self.brisc_workers
-                           if workers is None else workers),
         )
 
     def with_journal(self, journal: bool = True) -> "PipelineConfig":
         """A copy recording (or not) BRISC replay journals."""
         return replace(self, brisc_journal=journal)
-
-    def with_shared_dict(
-        self, shared: Optional["SharedDictionary"]
-    ) -> "PipelineConfig":
-        """A copy warm-starting brisc builds from ``shared`` (``None``
-        clears the warm start)."""
-        return replace(self, brisc_shared_dict=shared)
 
     def with_wire_codec(self, codec: str) -> "PipelineConfig":
         """A copy compressing wire streams with ``codec``."""

@@ -361,8 +361,6 @@ class DeltaCompiler:
     def _derive_brisc(self, program, unit, config):
         from ..brisc.journal import changed_functions, incremental_compress
 
-        if config.brisc_shared_dict is not None:
-            return None  # warm-started builds don't journal
         prev_program = self._prev_payload("codegen")
         prev_cp = self._prev_payload("brisc")
         if prev_program is None or prev_cp is None:

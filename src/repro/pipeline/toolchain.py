@@ -237,80 +237,6 @@ class Toolchain:
         return CompilationResult(unit=name, source=source,
                                  artifacts=artifacts, config=config)
 
-    # -- corpus-level shared dictionaries ---------------------------------
-
-    def shared_dictionary(
-        self,
-        units: Iterable[Tuple[str, str]],
-        config: Optional[PipelineConfig] = None,
-    ):
-        """Build (or fetch) the corpus's shared BRISC dictionary.
-
-        The key is content-addressed over the schema version, the brisc
-        stage's configuration fragment, and every unit's name and source
-        (order-independent), so it caches — and federates between
-        cluster nodes — exactly like a stage artifact.  Corpus members
-        compile to VM programs through the ordinary stage cache first,
-        so repeated builds share the front-end work.
-
-        Returns a :class:`repro.brisc.SharedDictionary`; pass it to
-        :meth:`PipelineConfig.with_shared_dict` to warm-start unit
-        compiles.
-        """
-        from ..brisc.shared import build_shared_dictionary
-
-        config = config or self.config
-        # The shared dictionary must not depend on (or recurse into) a
-        # previously configured warm start.
-        config = replace(config, brisc_shared_dict=None)
-        brisc_stage = next(s for s in STAGES if s.name == "brisc")
-        unit_list = sorted((str(name), source) for name, source in units)
-        corpus_digest = _digest("|".join(
-            f"{_digest(name)}:{_digest(source)}" for name, source in unit_list
-        ))
-        key = _digest(f"{SCHEMA_VERSION}|shared-dict|"
-                      f"{brisc_stage.config_fragment(config)}|{corpus_digest}")
-        cached = self.cache.get(key)
-        stats = self._shared_dict_stats()
-        if cached is not None:
-            with self._stats_lock:
-                stats.cache_hits += 1
-            return cached.payload
-        programs = [
-            self.compile(source, name=name, stages=("codegen",),
-                         config=config).program
-            for name, source in unit_list
-        ]
-        t0 = time.perf_counter()
-        shared, build = build_shared_dictionary(
-            programs, k=config.brisc_k,
-            abundant_memory=config.brisc_abundant_memory,
-            max_passes=config.brisc_max_passes,
-            workers=config.brisc_workers)
-        dt = time.perf_counter() - t0
-        size = len(shared.serialize())
-        artifact = Artifact(
-            stage="shared-dict", unit="<corpus>", key=key, payload=shared,
-            size=size, seconds=dt,
-            meta={"units": len(unit_list), "patterns": len(shared),
-                  "builder_passes": [
-                      {"candidates": p.candidates, "admitted": p.admitted,
-                       "seconds": round(p.seconds, 6)}
-                      for p in build.pass_stats],
-                  "builder_seconds": round(build.seconds, 6)})
-        with self._stats_lock:
-            stats.runs += 1
-            stats.seconds += dt
-            stats.bytes_out += size
-        self.cache.put(key, artifact)
-        return shared
-
-    def _shared_dict_stats(self) -> StageStats:
-        """The shared-dictionary accounting row (created on first use so
-        toolchains that never build one report the classic six stages)."""
-        with self._stats_lock:
-            return self._stats.setdefault("shared-dict", StageStats())
-
     def compile_file(
         self,
         path: str,

@@ -93,17 +93,6 @@ def test_brisc_roundtrip_via_cli(hello_c, tmp_path, capsys):
     assert capsys.readouterr().out == "49\n"
 
 
-def test_brisc_workers_flag_matches_serial(hello_c, tmp_path, capsys):
-    """`--workers 2` must emit exactly the bytes the serial builder does."""
-    serial = tmp_path / "serial.brisc"
-    parallel = tmp_path / "parallel.brisc"
-    assert main(["brisc", hello_c, "-o", str(serial)]) == 0
-    assert main(["--workers", "2", "brisc", hello_c,
-                 "-o", str(parallel)]) == 0
-    capsys.readouterr()
-    assert serial.read_bytes() == parallel.read_bytes()
-
-
 def test_compile_error_reported(tmp_path, capsys):
     bad = tmp_path / "bad.c"
     bad.write_text("int main(void) { return undeclared; }")

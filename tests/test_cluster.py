@@ -253,31 +253,6 @@ def test_federated_cache_fills_from_live_peer_without_recompiling():
             local.close()
 
 
-def test_fleet_dictionary_federates_between_nodes():
-    """The corpus shared dictionary is a cache entry like any other: a
-    node that already built it serves it over ``cache_pull``, so a fresh
-    node warm-starts without re-running the corpus build."""
-    from repro.pipeline import Toolchain
-
-    corpus = [("hello.c", HELLO), ("twice.c", HELLO.replace("sq", "dbl"))]
-    with make_service() as peer_node:
-        shared = peer_node.service.toolchain.shared_dictionary(corpus)
-        address = f"127.0.0.1:{peer_node.port}"
-        local_cache = FederatedCache(
-            MemoryCache(), [ArtifactPeer(address, timeout=5.0)])
-        local = Toolchain(cache=local_cache)
-        try:
-            fetched = local.shared_dictionary(corpus)
-            assert fetched.digest == shared.digest
-            assert [str(p) for p in fetched.patterns] == \
-                [str(p) for p in shared.patterns]
-            row = local.stats()["stages"]["shared-dict"]
-            assert row["runs"] == 0 and row["cache_hits"] == 1
-            assert local_cache.stats()["federation"]["fills"] >= 1
-        finally:
-            local_cache.close()
-
-
 def test_federated_cache_misses_cleanly_when_peer_is_down():
     dead = ArtifactPeer("127.0.0.1:1")  # nothing listens on port 1
     local = FederatedCache(MemoryCache(), [dead])
@@ -583,15 +558,40 @@ def test_cluster_harness_batch_is_byte_identical():
 
 @pytest.mark.slow
 def test_cluster_harness_chaos_completes_and_refills():
-    from repro.cluster import run_cluster
+    from repro.cluster import format_report, run_cluster
 
     report = run_cluster(["wc", "calc", "sort", "crc32"], nodes=2,
                          rounds=2, concurrency=3, chaos=True, kills=1,
                          seed=7, restart_after=0.5, deadline=30.0,
                          retries=6)
-    assert report.ok, report.errors
+    assert report.ok, format_report(report)
     assert report.kills == 1 and report.restarts >= 1
     assert report.mismatched == 0 and report.failed == 0
     # The restarted node came back empty and healed from a peer.
     assert report.refilled_after_restart >= 1
     assert report.federation_bytes > 0
+
+
+def test_cluster_report_names_each_unmet_condition():
+    """A failed run says why: a restarted node that never refilled is
+    named with its probe and peek-hit counts, and ``format_report``
+    prints every reason even when no request errored."""
+    from repro.cluster import ClusterReport, format_report
+
+    fed = {"probes": 3, "peek_hits": 0, "fills": 0, "fill_bytes": 0}
+    report = ClusterReport(
+        nodes=2, units=["wc"], rounds=1, chaos=True, seed=7, completed=3,
+        kills=1, restarts=1, refill_probes={"127.0.0.1:9": 2},
+        per_node={"127.0.0.1:9": {"toolchain": {"cache": {
+            "federation": fed}}}})
+    assert report.errors == [] and not report.ok
+    assert report.reasons == [
+        "restarted node 127.0.0.1:9 refilled 0 artifacts from peers after "
+        "2 refill probe(s) (federation probes 3, peek hits 0)"]
+    assert "  reason: restarted node 127.0.0.1:9" in format_report(report)
+    fed["fills"] = 1
+    assert report.ok and report.reasons == []
+    report.failed, report.mismatched = 1, 2
+    assert report.reasons == [
+        "1 request(s) failed",
+        "2 blob(s) differ from the single-node reference"]

@@ -21,9 +21,10 @@ from repro.codegen import generate_program
 from repro.corpus import suite_names, suite_source
 from repro.ir import dump_module, lower_unit
 from repro.pipeline import (
-    MemoryCache, STAGE_NAMES, Toolchain, resolve_stages,
+    MemoryCache, PipelineConfig, STAGE_NAMES, Toolchain, resolve_stages,
     vm_code_bytes,
 )
+from repro.pipeline.stages import BriscStage
 from repro.wire import encode_module
 
 SMALL = """
@@ -91,18 +92,14 @@ def test_config_changes_invalidate_downstream_only():
     assert stages["brisc"]["runs"] == base_runs["brisc"] + 1
 
 
-def test_brisc_workers_do_not_churn_the_cache_key():
-    """The builder's output is byte-identical for any worker count, so
-    ``brisc_workers`` must stay out of the stage's cache key: switching
-    worker counts on the same unit serves the brisc artifact from cache."""
-    tc = Toolchain()
-    tc.compile(SMALL, name="u", stages=("brisc",))
-    base_runs = tc.stats()["stages"]["brisc"]["runs"]
-    config = tc.config.with_brisc(workers=2)
-    assert config.brisc_workers == 2
-    res = tc.compile(SMALL, name="u", stages=("brisc",), config=config)
-    assert res.artifact("brisc").from_cache
-    assert tc.stats()["stages"]["brisc"]["runs"] == base_runs
+def test_brisc_config_fragment_is_pinned():
+    """Persisted disk caches and ``tables`` state files key on these exact
+    strings: adding or removing a builder knob must not churn them."""
+    stage = BriscStage()
+    config = PipelineConfig()
+    assert stage.config_fragment(config) == "k=20;abundant=False;passes=40"
+    assert stage.config_fragment(config.with_journal()) == \
+        "k=20;abundant=False;passes=40;journal=1"
 
 
 def test_wire_codec_knob_changes_key_and_roundtrips():
@@ -128,17 +125,16 @@ def test_wire_codec_knob_changes_key_and_roundtrips():
 
 def test_with_brisc_keeps_unrelated_knobs():
     tc = Toolchain()
-    config = tc.config.with_brisc(k=7).with_brisc(workers=3)
-    assert config.brisc_k == 7 and config.brisc_workers == 3
-    # Omitting workers leaves the current value in place.
-    assert config.with_brisc(k=9).brisc_workers == 3
+    config = tc.config.with_brisc(k=7).with_brisc(max_passes=3)
+    assert config.brisc_k == 7 and config.brisc_max_passes == 3
+    # Omitting max_passes leaves the current value in place.
+    assert config.with_brisc(k=9).brisc_max_passes == 3
 
 
 def test_brisc_meta_records_builder_pass_stats():
     tc = Toolchain()
     res = tc.compile(SMALL, name="u", stages=("brisc",))
     meta = res.artifact("brisc").meta
-    assert meta["builder_workers"] == 1
     assert meta["builder_seconds"] >= 0
     passes = meta["builder_passes"]
     assert len(passes) == res.brisc.build.passes
@@ -350,6 +346,47 @@ def test_stats_dict_shape():
     }
     tc.reset_stats()
     assert total_runs(tc) == 0
+
+
+def test_cold_compile_reports_nonzero_runs_for_every_stage():
+    """Regression: a cold full compile must never report a stage it
+    executed as ``0 runs, 0.000s``."""
+    tc = Toolchain()
+    tc.compile(SMALL, name="u")  # every stage
+    stages = tc.stats()["stages"]
+    for name in STAGE_NAMES:
+        assert stages[name]["runs"] == 1, name
+        assert stages[name]["seconds"] > 0, name
+
+
+def test_brisc_cache_hit_not_charged_build_seconds():
+    """A brisc cache hit adds one cache hit to the stage's row and nothing
+    else: no run, no build seconds."""
+    tc = Toolchain()
+    tc.compile(SMALL, name="u", stages=("brisc",))
+    before = tc.stats()["stages"]["brisc"]
+    tc.compile(SMALL, name="u", stages=("brisc",))
+    after = tc.stats()["stages"]["brisc"]
+    assert after["runs"] == before["runs"]
+    assert after["seconds"] == before["seconds"]
+    assert after["cache_hits"] == before["cache_hits"] + 1
+    assert after["hit_rate"] > before["hit_rate"]
+
+
+def test_fold_outcome_keeps_worker_cache_hits():
+    """Worker stats folded into the parent toolchain must preserve
+    cache hits, not just runs/seconds/bytes."""
+    worker = Toolchain()
+    worker.compile(SMALL, name="u", stages=("wire",))
+    result = worker.compile(SMALL, name="u", stages=("wire",))
+    parent = Toolchain()
+    items = [None]
+    parent._fold_outcome(
+        0, "u", ("ok", result, worker.stats()["stages"], 0.01), items)
+    stages = parent.stats()["stages"]
+    assert stages["parse"]["runs"] == 1
+    assert stages["parse"]["cache_hits"] == 1
+    assert items[0].result is result
 
 
 # ---------------------------------------------------------------------------
