@@ -13,9 +13,10 @@ section 4.4, the candidate specializations of `enter sp,sp,24` and
 
 import repro
 from repro.brisc import compress
-from repro.brisc.builder import BriscBuilder
+from repro.brisc.builder import _augmented_set
 from repro.brisc.cost import CostModel
 from repro.brisc.pattern import DictPattern, pattern_of_instr
+from repro.brisc.slots import build_slots
 from repro.cfront import compile_to_ast
 from repro.compress.mtf import mtf_encode
 from repro.ir import dump_function, lower_unit
@@ -64,10 +65,9 @@ def main() -> None:
         print(f"  {str(instr):28s} -> {', '.join(str(s) for s in specs)}")
 
     print("\n== opcode combination: the 16 pairs for instructions 1 and 2 ==")
-    builder = BriscBuilder(program)
-    fn = builder.slots.functions[0]
-    a_set = builder._augmented_set(fn.slots[0])
-    b_set = builder._augmented_set(fn.slots[1])
+    fn = build_slots(program).functions[0]
+    a_set = _augmented_set(fn.slots[0], {})
+    b_set = _augmented_set(fn.slots[1], {})
     print(f"  |augmented set 1| = {len(a_set)},"
           f" |augmented set 2| = {len(b_set)},"
           f" candidates = {len(a_set) * len(b_set)}")

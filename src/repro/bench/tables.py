@@ -102,9 +102,10 @@ def toolchain_stats_table(stats: dict) -> str:
     if builder and builder.get("builds"):
         table += "\n\n" + render_table(
             ["brisc builder", "builds", "passes", "candidates", "admitted",
-             "seconds"],
+             "seconds", "scan", "admit", "rewrite"],
             [["totals", str(builder["builds"]), str(builder["passes"]),
-              str(builder["candidates"]), str(builder["admitted"]),
-              f"{builder['seconds']:8.3f}"]],
+              str(builder["candidates"]), str(builder["admitted"])]
+             + [f"{builder[k]:8.3f}"
+                for k in ("seconds", "scan_s", "admit_s", "rewrite_s")]],
         )
     return table

@@ -90,11 +90,15 @@ class _ScanTables:
 
 @dataclass
 class PassStats:
-    """One greedy pass: scan size, admissions, and wall time."""
+    """One greedy pass: scan size, admissions, and wall time (the total,
+    split into the savings refresh, admission, and rewrite phases)."""
 
     candidates: int
     admitted: int
     seconds: float
+    scan_s: float = 0.0
+    admit_s: float = 0.0
+    rewrite_s: float = 0.0
 
 
 @dataclass
@@ -411,11 +415,7 @@ class BriscBuilder:
             return True
         return False
 
-    # -- candidate generation ----------------------------------------------
-
-    def _augmented_set(self, slot: Slot) -> List[DictPattern]:
-        """The slot's augmented operand-specialization set (memoized)."""
-        return _augmented_set(slot, self._tables.aug)
+    # -- candidate scoring ---------------------------------------------------
 
     def _floor(self, cid: int) -> int:
         """The admission floor: savings must exceed the pattern's
@@ -552,6 +552,7 @@ class BriscBuilder:
                 journal_pass = PassJournal()
                 journal.passes.append(journal_pass)
             self._refresh_savings()
+            t_scan = time.perf_counter()
             savings = self._savings
             # Snapshot before admission: the pass's candidate count is
             # the merged map minus patterns already admitted when the
@@ -580,13 +581,14 @@ class BriscBuilder:
             if journal_pass is not None:
                 ids = self._tables.ids
                 journal_pass.admitted = [ids[p] for p in admitted]
+            t_admit = time.perf_counter()
             if admitted:
                 self._changed = self._apply_patterns(admitted)
+            t_end = time.perf_counter()
             self.pass_stats.append(PassStats(
-                candidates=candidates,
-                admitted=len(admitted),
-                seconds=time.perf_counter() - t0,
-            ))
+                candidates=candidates, admitted=len(admitted),
+                seconds=t_end - t0, scan_s=t_scan - t0,
+                admit_s=t_admit - t_scan, rewrite_s=t_end - t_admit))
             if len(admitted) < self.k:
                 break
         if journal is not None:

@@ -49,30 +49,28 @@ def representative_instr(part: InsnPattern) -> Instr:
 
 
 class CostModel:
-    """Computes W (and caches it) for dictionary candidates."""
+    """Computes W for dictionary candidates.  W is a sum over a pattern's
+    parts, so each distinct part is priced once, on both targets."""
 
     def __init__(self, abundant_memory: bool = False) -> None:
         self.abundant_memory = abundant_memory
         self._pentium = PentiumLike()
         self._ppc = PPCLike()
-        self._cache: Dict[DictPattern, int] = {}
+        self._part_bytes: Dict[InsnPattern, int] = {}
 
     def working_set_cost(self, pattern: DictPattern) -> int:
         """W: average native template bytes for this dictionary entry."""
         if self.abundant_memory:
             return 0
-        cached = self._cache.get(pattern)
-        if cached is not None:
-            return cached
-        pentium = 0
-        ppc = 0
+        both = 0  # Pentium + PPC template bytes, summed over the parts
         for part in pattern.parts:
-            rep = representative_instr(part)
-            pentium += self._pentium.instr_size(rep)
-            ppc += self._ppc.instr_size(rep)
-        cost = (pentium + ppc + 1) // 2
-        self._cache[pattern] = cost
-        return cost
+            size = self._part_bytes.get(part)
+            if size is None:
+                rep = representative_instr(part)
+                size = self._pentium.instr_size(rep) + self._ppc.instr_size(rep)
+                self._part_bytes[part] = size
+            both += size
+        return (both + 1) // 2
 
     def benefit(self, pattern: DictPattern, bytes_saved: int) -> int:
         """B = P − W, where P already includes the dictionary-entry cost."""

@@ -28,7 +28,8 @@ from ..vm.instr import Instr, VMFunction, VMProgram
 from ..vm.isa import Operand
 from .markov import CTX_BB, CTX_ENTRY, ESCAPE, MarkovModel, build_markov
 from .pattern import (
-    Burned, DictPattern, deserialize_pattern, serialize_pattern,
+    _BYTE_SIZES, _NIBBLE_CLASSES, Burned, DictPattern, deserialize_pattern,
+    serialize_pattern,
 )
 from .slots import SlotProgram
 
@@ -51,8 +52,6 @@ _MAGIC_PREFIX = b"BRI"
 _MAGIC_V1 = b"BRI1"
 _MAGIC = b"BRI2"
 _MAGIC_V3 = b"BRI3"
-_NIBBLE_CLASSES = {"r", "f", "n4"}
-_BYTE_WIDTH = {"b": 1, "h": 2, "w": 4, "l": 2, "s": 2, "d": 8}
 
 
 @dataclass
@@ -115,7 +114,7 @@ def _slot_bytes(
         elif cls == "n4":
             nibbles.append((int(value) // 4) & 0xF)
         elif cls in ("b", "h", "w"):
-            wide += int(value).to_bytes(_BYTE_WIDTH[cls], "little", signed=True)
+            wide += int(value).to_bytes(_BYTE_SIZES[cls], "little", signed=True)
         elif cls == "l":
             assert isinstance(value, str)
             wide += label_offsets[value].to_bytes(2, "little")
@@ -540,7 +539,7 @@ def decode_slot(
             values.append(nibbles[ni] * 4)
             ni += 1
         elif cls in ("b", "h", "w"):
-            width = _BYTE_WIDTH[cls]
+            width = _BYTE_SIZES[cls]
             raw, offset = take_bytes(code, offset, width,
                                      f"{cls!r} operand")
             values.append(int.from_bytes(raw, "little", signed=True))

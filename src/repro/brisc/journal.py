@@ -269,6 +269,7 @@ def replay_build(
                     touch(cid)
                     OC[cid] = OC.get(cid, 0) + d
 
+        t_scan = time.perf_counter()
         # Candidate count: correct the recorded count for every touched
         # candidate whose positivity or membership differs between the
         # replayed map and the recorded one.
@@ -322,6 +323,7 @@ def replay_build(
 
         # Rewrite only the changed functions; unchanged functions'
         # recorded final slots already reflect every admission.
+        t_admit = time.perf_counter()
         rescan = set()
         if admitted_cids:
             combos_by_first, singles_by_shape = prepare_rewrite(
@@ -331,11 +333,11 @@ def replay_build(
                                     singles_by_shape):
                     rescan.add(i)
 
+        t_end = time.perf_counter()
         pass_stats.append(PassStats(
-            candidates=candidates,
-            admitted=len(admitted_cids),
-            seconds=time.perf_counter() - tp,
-        ))
+            candidates=candidates, admitted=len(admitted_cids),
+            seconds=t_end - tp, scan_s=t_scan - tp,
+            admit_s=t_admit - t_scan, rewrite_s=t_end - t_admit))
         if journal:
             new_passes.append(PassJournal(
                 deltas=new_deltas,
@@ -347,22 +349,13 @@ def replay_build(
             if p != last:
                 return None  # inconsistent journal
             break
-    else:
-        # Every recorded pass admitted a full K, i.e. the recorded build
-        # stopped on max_passes; so does the replay.
-        pass
 
     # Charge setup/seeding time (everything outside the per-pass loop
     # bodies) to the first pass, so BuildResult.seconds is wall time.
     if pass_stats:
         extra = (time.perf_counter() - t0
                  - sum(s.seconds for s in pass_stats))
-        first = pass_stats[0]
-        pass_stats[0] = PassStats(
-            candidates=first.candidates,
-            admitted=first.admitted,
-            seconds=first.seconds + max(0.0, extra),
-        )
+        pass_stats[0].seconds += max(0.0, extra)
 
     slots = SlotProgram(program.name, entry=program.entry)
     for i, fn in enumerate(prev.slots.functions):

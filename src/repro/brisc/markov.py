@@ -73,9 +73,6 @@ class MarkovModel:
             rindex[ctx] = cached
         return cached[2].get(pid)
 
-    def table_sizes(self) -> Dict[int, int]:
-        return {ctx: len(t) for ctx, t in self.tables.items()}
-
     def max_successors(self) -> int:
         """Largest successor table (paper: at most 244 for lcc)."""
         return max((len(t) for t in self.tables.values()), default=0)

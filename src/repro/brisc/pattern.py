@@ -18,10 +18,11 @@ keeps BRISC randomly addressable and directly interpretable.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple, Union
 
-from ..compress.bitio import read_uvarint, take_bytes, write_uvarint
+from ..compress.bitio import read_uvarint, take_bytes, uvarint, write_uvarint
 from ..errors import CorruptStreamError, TruncatedStreamError
 from ..vm.instr import Instr
 from ..vm.isa import MNEMONIC, Operand, SPEC
@@ -112,6 +113,19 @@ class InsnPattern:
     def __getstate__(self) -> dict:
         return {"name": self.name, "fields": self.fields}
 
+    def sizes(self) -> Tuple[int, int, int]:
+        """(dictionary-entry bytes, nibble wildcards, other wildcard bytes)
+        of this part, cached per instance; DictPattern sizes sum these."""
+        sizes = self.__dict__.get("_sizes")
+        if sizes is None:
+            out = bytearray()
+            _write_part(out, self)
+            classes = [f.cls for f in self.fields if isinstance(f, Wildcard)]
+            sizes = (len(out), sum(c in _NIBBLE_CLASSES for c in classes),
+                     sum(_BYTE_SIZES.get(c, 0) for c in classes))
+            self.__dict__["_sizes"] = sizes
+        return sizes
+
     def matches(self, instr: Instr) -> bool:
         """Does ``instr`` fit this pattern (burned fields equal, wildcards
         wide enough)?"""
@@ -184,15 +198,6 @@ def pattern_of_instr(instr: Instr) -> InsnPattern:
     return InsnPattern(instr.name, fields)
 
 
-# Value-keyed caches shared by every DictPattern instance: the greedy
-# builder re-creates equal patterns constantly (one per candidate
-# occurrence), so instance-level caching alone would miss the hot loop.
-# Keys are the (frozen, hashable) patterns themselves; both caches are
-# process-lifetime, bounded by the number of distinct patterns seen.
-_ENCODED_SIZE_CACHE: dict = {}
-_DICT_SIZE_CACHE: dict = {}
-
-
 @dataclass(frozen=True)
 class DictPattern:
     """A dictionary entry: one or more (possibly specialized) parts.
@@ -205,7 +210,7 @@ class DictPattern:
     parts: Tuple[InsnPattern, ...]
 
     # Same per-instance hash memoization as InsnPattern: equal patterns
-    # are re-looked-up constantly by the builder's value-keyed caches.
+    # are re-looked-up constantly by the builder's interning tables.
     def __hash__(self) -> int:
         h = self.__dict__.get("_hash")
         if h is None:
@@ -248,16 +253,18 @@ class DictPattern:
         return self.operand_layout()[0]
 
     def encoded_size(self) -> int:
-        """Size of one occurrence: opcode byte + operand bytes.
-
-        Value-cached across instances: the builder's pair loop constructs
-        a fresh ``DictPattern`` per candidate occurrence, and the same
-        candidate recurs at many sites and across passes.
-        """
-        size = _ENCODED_SIZE_CACHE.get(self)
+        """Size of one occurrence: opcode byte + operand bytes.  Summed
+        from the parts and cached on the instance, so sizing a fresh pair
+        candidate never hashes or compares it."""
+        size = self.__dict__.get("_encoded_size")
         if size is None:
-            size = 1 + self.operand_layout()[0]
-            _ENCODED_SIZE_CACHE[self] = size
+            nibbles = whole = 0
+            for part in self.parts:
+                _, n, w = part.sizes()
+                nibbles += n
+                whole += w
+            size = 1 + (nibbles + 1) // 2 + whole
+            self.__dict__["_encoded_size"] = size
         return size
 
     def wildcard_values(self, insns: Sequence[Instr]) -> List[Tuple[str, FieldValue]]:
@@ -269,22 +276,19 @@ class DictPattern:
     def is_control_ok(self) -> bool:
         """Control transfers only in the final part."""
         for part in self.parts[:-1]:
-            if SPEC[part.name].group == "flow" or SPEC[part.name].group in (
-                "branch", "brimm"
-            ) or part.name == "sys":
+            if (SPEC[part.name].group in ("flow", "branch", "brimm")
+                    or part.name == "sys"):
                 return False
         return True
 
     def dictionary_size(self) -> int:
-        """Bytes this entry occupies in the transmitted dictionary.
-
-        Value-cached like :meth:`encoded_size` (serialization is by far
-        the most expensive per-candidate computation in the builder).
-        """
-        size = _DICT_SIZE_CACHE.get(self)
+        """Bytes this entry occupies in the transmitted dictionary
+        (``len(serialize_pattern(self))``), cached on the instance."""
+        size = self.__dict__.get("_dict_size")
         if size is None:
-            size = len(serialize_pattern(self))
-            _DICT_SIZE_CACHE[self] = size
+            size = len(uvarint(len(self.parts))) + sum(
+                part.sizes()[0] for part in self.parts)
+            self.__dict__["_dict_size"] = size
         return size
 
     def __str__(self) -> str:
@@ -312,31 +316,35 @@ def serialize_pattern(pattern: DictPattern) -> bytes:
     out = bytearray()
     write_uvarint(out, len(pattern.parts))
     for part in pattern.parts:
-        write_uvarint(out, _MNEMONIC_ID[part.name])
-        spec = SPEC[part.name]
-        for field, kind in zip(part.fields, spec.signature):
-            if isinstance(field, Wildcard):
-                out.append(0x80 | _CLS_ID[field.cls])
-                continue
-            value = field.value
-            if kind in (Operand.REG, Operand.FREG):
-                out.append(0x00)
-                out.append(int(value) & 0xF)
-            elif kind is Operand.IMM:
-                out.append(0x01)
-                z = int(value)
-                write_uvarint(out, (z << 1) ^ (z >> 63) if z < 0 else z << 1)
-            elif kind is Operand.DIMM:
-                out.append(0x02)
-                import struct
-
-                out += struct.pack("<d", float(value))
-            else:  # LABEL / SYM burned as strings
-                out.append(0x03)
-                raw = str(value).encode("utf-8")
-                write_uvarint(out, len(raw))
-                out += raw
+        _write_part(out, part)
     return bytes(out)
+
+
+def _write_part(out: bytearray, part: InsnPattern) -> None:
+    """Append one part of a serialized entry (shared with
+    :meth:`InsnPattern.sizes`, so sizing cannot drift from the bytes)."""
+    write_uvarint(out, _MNEMONIC_ID[part.name])
+    spec = SPEC[part.name]
+    for field, kind in zip(part.fields, spec.signature):
+        if isinstance(field, Wildcard):
+            out.append(0x80 | _CLS_ID[field.cls])
+            continue
+        value = field.value
+        if kind in (Operand.REG, Operand.FREG):
+            out.append(0x00)
+            out.append(int(value) & 0xF)
+        elif kind is Operand.IMM:
+            out.append(0x01)
+            z = int(value)
+            write_uvarint(out, (z << 1) ^ (z >> 63) if z < 0 else z << 1)
+        elif kind is Operand.DIMM:
+            out.append(0x02)
+            out += struct.pack("<d", float(value))
+        else:  # LABEL / SYM burned as strings
+            out.append(0x03)
+            raw = str(value).encode("utf-8")
+            write_uvarint(out, len(raw))
+            out += raw
 
 
 def deserialize_pattern(data: bytes, pos: int) -> Tuple[DictPattern, int]:
@@ -346,8 +354,6 @@ def deserialize_pattern(data: bytes, pos: int) -> Tuple[DictPattern, int]:
     tag byte, or string length raises a typed :class:`DecodeError` instead
     of an ``IndexError``/``KeyError`` or a silently short slice.
     """
-    import struct
-
     nparts, pos = read_uvarint(data, pos)
     if nparts < 1 or nparts > len(data) - pos:
         raise CorruptStreamError(f"pattern with impossible part count {nparts}")

@@ -29,9 +29,6 @@ from ..brisc.pattern import DictPattern
 
 __all__ = ["JITResult", "BriscJIT", "jit_compile"]
 
-_NIBBLE_CLASSES = {"r", "f", "n4"}
-_BYTE_WIDTH = {"b": 1, "h": 2, "w": 4, "l": 2, "s": 2, "d": 8}
-
 
 @dataclass
 class JITResult:

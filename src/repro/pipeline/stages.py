@@ -217,7 +217,10 @@ def finish_brisc(cp, config: PipelineConfig) -> Tuple[Any, int, Dict[str, Any]]:
         "builder_seconds": round(cp.build.seconds, 6),
         "builder_passes": [
             {"candidates": p.candidates, "admitted": p.admitted,
-             "seconds": round(p.seconds, 6)}
+             "seconds": round(p.seconds, 6),
+             "scan_s": round(p.scan_s, 6),
+             "admit_s": round(p.admit_s, 6),
+             "rewrite_s": round(p.rewrite_s, 6)}
             for p in cp.build.pass_stats
         ],
     }

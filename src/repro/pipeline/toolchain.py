@@ -81,6 +81,10 @@ class BuilderStats:
     candidates: int = 0
     admitted: int = 0
     seconds: float = 0.0
+    #: Builder time split by pass phase (see ``PassStats``).
+    scan_s: float = 0.0
+    admit_s: float = 0.0
+    rewrite_s: float = 0.0
 
     def note(self, meta: Dict[str, Any]) -> None:
         pass_rows = meta.get("builder_passes")
@@ -91,11 +95,16 @@ class BuilderStats:
         self.candidates += sum(p["candidates"] for p in pass_rows)
         self.admitted += sum(p["admitted"] for p in pass_rows)
         self.seconds += meta.get("builder_seconds", 0.0)
+        # Rows cached before the phase timers existed carry no phases.
+        self.scan_s += sum(p.get("scan_s", 0.0) for p in pass_rows)
+        self.admit_s += sum(p.get("admit_s", 0.0) for p in pass_rows)
+        self.rewrite_s += sum(p.get("rewrite_s", 0.0) for p in pass_rows)
 
     def as_dict(self) -> Dict[str, Any]:
         return {"builds": self.builds, "passes": self.passes,
                 "candidates": self.candidates, "admitted": self.admitted,
-                "seconds": self.seconds}
+                "seconds": self.seconds, "scan_s": self.scan_s,
+                "admit_s": self.admit_s, "rewrite_s": self.rewrite_s}
 
 
 def _digest(text: str) -> str:

@@ -1,12 +1,17 @@
 """BRISC pattern machinery tests."""
 
+import pickle
 
+from hypothesis import given, settings, strategies as st
+
+from repro.brisc.cost import CostModel, representative_instr
 from repro.brisc.pattern import (
     Burned, DictPattern, deserialize_pattern,
     imm_class, pattern_of_instr, serialize_pattern,
 )
+from repro.native.targets import PPCLike, PentiumLike
 from repro.vm.instr import Instr
-from repro.vm.isa import REG_SP
+from repro.vm.isa import MNEMONIC, REG_SP, Operand, SPEC
 
 
 def base(instr):
@@ -179,3 +184,65 @@ class TestPaperNotation:
         assert text.startswith("[ld.iw")
         combined = DictPattern((pattern_of_instr(MOV), pattern_of_instr(MOV)))
         assert str(combined).startswith("<[mov.i")
+
+
+# -- per-part pricing agrees with whole-pattern pricing ----------------------
+
+_OPERAND = {
+    Operand.REG: st.integers(0, 15),
+    Operand.FREG: st.integers(0, 7),
+    Operand.IMM: st.one_of(st.integers(-70, 70),
+                           st.integers(-2**31, 2**31 - 1)),
+    Operand.DIMM: st.floats(allow_nan=False, allow_infinity=False),
+    Operand.LABEL: st.sampled_from(["L0", "L12", "epilogue"]),
+    Operand.SYM: st.sampled_from(["main", "pepper", "_buf"]),
+}
+
+
+# Mnemonics grouped by operand signature: drawing the signature first
+# gives rare shapes (``li.d``'s double, ``la``'s symbol) a fair share.
+_BY_SIGNATURE = {}
+for _name in MNEMONIC:
+    _BY_SIGNATURE.setdefault(SPEC[_name].signature, []).append(_name)
+
+
+@st.composite
+def random_part(draw):
+    """A random instruction's base pattern with some fields burned, one
+    field at a time, as the builder specializes."""
+    names = draw(st.sampled_from(list(_BY_SIGNATURE.values())))
+    name = draw(st.sampled_from(names))
+    instr = Instr(name, tuple(draw(_OPERAND[kind])
+                              for kind in SPEC[name].signature))
+    part = pattern_of_instr(instr)
+    for _ in range(draw(st.integers(0, len(part.fields)))):
+        part = draw(st.sampled_from(part.specializations(instr)))
+    return part
+
+
+def _reference_w(pattern):
+    """W priced from the whole pattern, no per-part caching."""
+    pentium = sum(PentiumLike().instr_size(representative_instr(part))
+                  for part in pattern.parts)
+    ppc = sum(PPCLike().instr_size(representative_instr(part))
+              for part in pattern.parts)
+    return (pentium + ppc + 1) // 2
+
+
+@given(st.lists(random_part(), min_size=1, max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_part_sums_match_whole_pattern_pricing(parts):
+    p = DictPattern(tuple(parts))
+    w = CostModel().working_set_cost(p)
+    assert w == _reference_w(p)
+    assert p.dictionary_size() == len(serialize_pattern(p))
+    assert p.encoded_size() == 1 + p.operand_layout()[0]
+    # A pickle carries only the fields, never the per-instance caches
+    # filled above, and the copy prices the same from scratch.
+    q = pickle.loads(pickle.dumps(p))
+    assert set(vars(q)) == {"parts"}
+    assert all(set(vars(part)) == {"name", "fields"} for part in q.parts)
+    assert q == p
+    assert CostModel().working_set_cost(q) == w
+    assert q.dictionary_size() == p.dictionary_size()
+    assert q.encoded_size() == p.encoded_size()

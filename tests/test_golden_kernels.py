@@ -93,6 +93,24 @@ class TestContainerGoldens:
         program = decode_image((GOLDEN / f"{unit}.bri2").read_bytes())
         assert program.functions
 
+    def test_lcc_brisc_image_pinned(self):
+        """The full lcc-shaped unit prices ~67k candidates over 15 greedy
+        passes; its image, and the build counters, must never drift."""
+        import hashlib
+
+        from repro.corpus.suite import suite_source
+        from repro.pipeline import Toolchain
+
+        res = Toolchain().compile(suite_source("lcc"), name="lcc",
+                                  stages=("brisc",))
+        cp = res.brisc
+        assert (hashlib.sha256(cp.image.blob).hexdigest() ==
+                "2257ecac44f6dd1259497d33fd30580a8dfebf4d6b138a75352f892dc1ec135c")
+        assert cp.size == 33_863
+        assert cp.build.candidates_tested == 67_094
+        assert cp.build.passes == 15
+        assert len(cp.build.dictionary) == 382
+
     def test_roundtrip_through_reencode(self):
         """Decoding a golden wire blob and re-encoding reproduces it."""
         golden = (GOLDEN / "fib.wir2").read_bytes()

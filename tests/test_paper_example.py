@@ -92,12 +92,12 @@ class TestBriscSection:
     def test_augmented_sets_give_16_combination_candidates(self, program):
         """The paper: combining instructions 1 and 2 generates the 16
         pairs from both augmented operand-specialized sets (4 x 4)."""
-        from repro.brisc.builder import BriscBuilder
+        from repro.brisc.builder import _augmented_set
+        from repro.brisc.slots import build_slots
 
-        builder = BriscBuilder(program)
-        fn = builder.slots.functions[0]
-        a = builder._augmented_set(fn.slots[0])
-        b = builder._augmented_set(fn.slots[1])
+        fn = build_slots(program).functions[0]
+        a = _augmented_set(fn.slots[0], {})
+        b = _augmented_set(fn.slots[1], {})
         assert len(a) == 4 and len(b) == 4
         assert len(a) * len(b) == 16
 

@@ -138,8 +138,14 @@ def test_brisc_meta_records_builder_pass_stats():
     assert meta["builder_seconds"] >= 0
     passes = meta["builder_passes"]
     assert len(passes) == res.brisc.build.passes
-    assert all(set(p) == {"candidates", "admitted", "seconds"}
+    assert all(set(p) == {"candidates", "admitted", "seconds", "scan_s",
+                          "admit_s", "rewrite_s"}
                for p in passes)
+    # The phases split the pass total (timer reads between them aside).
+    for p in passes:
+        phases = p["scan_s"] + p["admit_s"] + p["rewrite_s"]
+        assert min(p["scan_s"], p["admit_s"], p["rewrite_s"]) >= 0
+        assert phases <= p["seconds"] + 1e-5
 
 
 def test_toolchain_aggregates_builder_stats():
@@ -148,6 +154,9 @@ def test_toolchain_aggregates_builder_stats():
     builder = tc.stats()["brisc_builder"]
     assert builder["builds"] == 1
     assert builder["passes"] >= 1
+    assert builder["scan_s"] > 0
+    assert (builder["scan_s"] + builder["admit_s"] + builder["rewrite_s"]
+            <= builder["seconds"] + 1e-5 * builder["passes"])
     # A cache hit must not double-count the build.
     tc.compile(SMALL, name="u", stages=("brisc",))
     assert tc.stats()["brisc_builder"]["builds"] == 1
@@ -342,7 +351,7 @@ def test_stats_dict_shape():
     # No BRISC stage ran, so the builder section is all zeros.
     assert stats["brisc_builder"] == {
         "builds": 0, "passes": 0, "candidates": 0, "admitted": 0,
-        "seconds": 0.0,
+        "seconds": 0.0, "scan_s": 0.0, "admit_s": 0.0, "rewrite_s": 0.0,
     }
     tc.reset_stats()
     assert total_runs(tc) == 0
