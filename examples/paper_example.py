@@ -13,7 +13,7 @@ section 4.4, the candidate specializations of `enter sp,sp,24` and
 
 import repro
 from repro.brisc import compress
-from repro.brisc.builder import _augmented_set
+from repro.brisc.builder import _ScanTables
 from repro.brisc.cost import CostModel
 from repro.brisc.pattern import DictPattern, pattern_of_instr
 from repro.brisc.slots import build_slots
@@ -66,8 +66,11 @@ def main() -> None:
 
     print("\n== opcode combination: the 16 pairs for instructions 1 and 2 ==")
     fn = build_slots(program).functions[0]
-    a_set = _augmented_set(fn.slots[0], {})
-    b_set = _augmented_set(fn.slots[1], {})
+    tables = _ScanTables()
+    a_set = tables.augmented_set(fn.slots[0])
+    b_set = tables.augmented_set(fn.slots[1])
+    for p in a_set:
+        print("  set 1:", " ".join(str(tables.parts[i]) for i in p))
     print(f"  |augmented set 1| = {len(a_set)},"
           f" |augmented set 2| = {len(b_set)},"
           f" candidates = {len(a_set) * len(b_set)}")

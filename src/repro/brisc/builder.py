@@ -14,17 +14,16 @@ The paper's algorithm:
 5. stop after a pass yielding fewer than ``K`` candidates with positive B.
 
 Each function contributes an independent per-candidate savings total to
-the scan (step 2), and totals merge by addition.  **Incremental
-rescanning** (``prune=True``, the default) exploits that while keeping
-the output byte-identical: the builder keeps each function's
-candidate→savings contribution from the previous pass and only re-scans
-functions whose slots the rewrite step actually changed — subtracting the
-stale contribution and adding the fresh one reproduces exactly the map a
-full rescan would build.  Candidates whose running savings total fell to
-(or below) their admission floor ``dictionary_size() + W`` are dropped
-from the live heap-candidate set on the spot instead of being re-scored
-every round; the floor is constant per pattern, so liveness is an exact
-predicate, not a heuristic bound.
+the scan (step 2) as a sum of *window* rows (each slot, each adjacent
+pair), and totals merge by addition.  **Incremental rescanning**
+(``prune=True``, the default) exploits that while keeping the output
+byte-identical: the builder keeps each function's window counts and, for
+functions the rewrite step changed, prices only the windows whose count
+moved — their net delta reproduces exactly the map a full rescan would
+build.  Candidates whose running savings total fell to (or below) their
+admission floor ``dictionary_size() + W`` are dropped from the live
+heap-candidate set on the spot instead of being re-scored every round;
+the floor is constant per pattern, so liveness is an exact predicate.
 
 The returned :class:`BuildResult` carries the final slot program, the
 dictionary in admission order, per-pass statistics, and the counters the
@@ -36,11 +35,11 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..vm.instr import Instr, VMProgram
 from .cost import CostModel
-from .pattern import DictPattern
+from .pattern import DictPattern, InsnPattern
 from .slots import Slot, SlotFunction, SlotProgram, build_slots
 
 __all__ = ["BuildResult", "BriscBuilder", "PassStats", "build_dictionary",
@@ -48,35 +47,40 @@ __all__ = ["BuildResult", "BriscBuilder", "PassStats", "build_dictionary",
 
 _MAX_PARTS = 4
 
-#: Cache type for memoized augmented sets: (pattern, insns) -> patterns.
-_AugCache = Dict[Tuple[DictPattern, Tuple[Instr, ...]], List[DictPattern]]
-
-
 class _ScanTables:
-    """Memoized candidate tables driving the scan.
+    """The scan's state as dense ints: parts, slots, windows, candidates.
 
-    ``aug`` holds each (pattern, insns) key's augmented specialization
-    set; ``spec`` and ``pair`` hold precomputed ``(candidate id, bytes
-    saved per occurrence)`` rows for the specialization and combination
-    scans.  A slot's candidates and their per-occurrence savings depend
-    only on its (pattern, insns) — and, for pairs, the neighbour's — so
-    after the first pass a rescan is a table walk: no pattern objects
-    are rebuilt, re-hashed, or re-sized.
-
-    Candidates are interned to dense integer ids (``ids``/``patterns``)
-    when a row is first built, so every hot map downstream — savings
-    totals, live set, floors — is int-keyed; the only Python-level
-    pattern hash left per occurrence is the row-key lookup.
+    Each ``InsnPattern`` gets a *part id* and a ``part_info`` row, so a
+    candidate — a tuple of part ids — is sized, control-checked and given
+    its admission floor from sums (:meth:`measure`).  Each slot's
+    (pattern, insns) gets a *slot key* (:meth:`slot_key`), which memoizes
+    its augmented set and is the id of its specialization window;
+    adjacent pairs get window ids from ``(key_a, key_b)``.  ``rows[w]``
+    lists window ``w``'s (candidate id, bytes saved per occurrence).
+    A candidate's ``DictPattern`` is built once, when its part tuple first
+    gets an id, and interned in ``ids``/``patterns`` (the heap, admission
+    and the journal use it; journal replay aliases them).
     """
 
-    __slots__ = ("aug", "spec", "pair", "ids", "patterns")
+    __slots__ = ("token", "cost", "part_ids", "parts", "part_info",
+                 "slot_keys", "aug", "pairs", "rows", "cand_ids", "ids",
+                 "patterns", "floors")
 
-    def __init__(self) -> None:
-        self.aug: _AugCache = {}
-        self.spec: Dict[tuple, List[Tuple[int, int]]] = {}
-        self.pair: Dict[tuple, List[Tuple[int, int]]] = {}
+    def __init__(self, cost: Optional[CostModel] = None) -> None:
+        #: Tags slot-key caches: a cached key is valid only for these tables.
+        self.token = object()
+        self.cost = cost or CostModel()
+        self.part_ids: Dict[InsnPattern, int] = {}
+        self.parts: List[InsnPattern] = []
+        self.part_info: List[Tuple[int, int, int, int, bool]] = []
+        self.slot_keys: Dict[Tuple[DictPattern, Tuple[Instr, ...]], int] = {}
+        self.aug: Dict[int, tuple] = {}
+        self.pairs: Dict[Tuple[int, int], int] = {}
+        self.rows: List[List[Tuple[int, int]]] = []
+        self.cand_ids: Dict[Tuple[int, ...], int] = {}
         self.ids: Dict[DictPattern, int] = {}
         self.patterns: List[DictPattern] = []
+        self.floors: Dict[int, int] = {}
 
     def intern(self, cand: DictPattern) -> int:
         """The candidate's dense id, assigning one on first sight."""
@@ -87,11 +91,128 @@ class _ScanTables:
             self.patterns.append(cand)
         return cid
 
+    def part_id(self, part: InsnPattern) -> int:
+        pid = self.part_ids.get(part)
+        if pid is None:
+            pid = len(self.parts)
+            self.part_ids[part] = pid
+            self.parts.append(part)
+            entry, nibbles, whole = part.sizes()
+            self.part_info.append((nibbles, whole, entry,
+                                   self.cost.part_bytes(part),
+                                   part.is_control()))
+        return pid
+
+    def measure(self, parts: Tuple[int, ...]) -> tuple:
+        """``(parts, nibble wildcards, whole wildcard bytes, entry bytes,
+        template bytes, control transfer before the last part, control
+        transfer in the last part)`` of a part-id tuple."""
+        nibbles = whole = entry = template = 0
+        early = last = False
+        for pid in parts:
+            n, w, e, t, control = self.part_info[pid]
+            nibbles, whole, entry, template = (nibbles + n, whole + w,
+                                               entry + e, template + t)
+            early, last = early or last, control
+        return parts, nibbles, whole, entry, template, early, last
+
+    def cand_id(self, parts: Tuple[int, ...], entry: int,
+                template: int) -> int:
+        """The id of the candidate made of ``parts`` (whose entry and
+        template bytes sum to ``entry``/``template``)."""
+        cid = self.cand_ids.get(parts)
+        if cid is None:
+            cid = self.intern(DictPattern(tuple(self.parts[p] for p in parts)))
+            self.cand_ids[parts] = cid
+            # dictionary_size() + W; a count of at most _MAX_PARTS parts
+            # is one uvarint byte.
+            self.floors[cid] = 1 + entry + (template + 1) // 2
+        return cid
+
+    def floor(self, cid: int) -> int:
+        """The admission floor: savings must exceed the pattern's
+        dictionary-entry bytes plus its working-set cost for B > 0."""
+        floor = self.floors.get(cid)
+        if floor is None:  # interned as a pattern, not as part ids
+            pattern = self.patterns[cid]
+            floor = (pattern.dictionary_size()
+                     + self.cost.working_set_cost(pattern))
+            self.floors[cid] = floor
+        return floor
+
+    def slot_key(self, slot: Slot) -> int:
+        """The slot's interned (pattern, insns) key, cached on the slot
+        (``rewrite_function`` drops the cache when it re-patterns a slot)."""
+        cached = slot.__dict__.get("_key")
+        if cached is not None and cached[0] is self.token:
+            return cached[1]
+        value = (slot.pattern, slot.insns)
+        key = self.slot_keys.get(value)
+        if key is None:
+            key = self._new_slot(slot)
+            self.slot_keys[value] = key
+        slot.__dict__["_key"] = (self.token, key)
+        return key
+
+    def augmented_set(self, slot: Slot) -> Tuple[Tuple[int, ...], ...]:
+        """The slot's pattern plus its one-field specializations (the
+        paper's "augmented operand-specialized set"), as part-id tuples."""
+        return tuple(entry[0] for entry in self.aug[self.slot_key(slot)])
+
+    def _new_slot(self, slot: Slot) -> int:
+        own = tuple(map(self.part_id, slot.pattern.parts))
+        aug = [self.measure(own)]
+        for pi, (part, instr) in enumerate(zip(slot.pattern.parts,
+                                               slot.insns)):
+            for spec in part.specializations(instr):
+                aug.append(self.measure(
+                    own[:pi] + (self.part_id(spec),) + own[pi + 1:]))
+        # An occurrence's encoded size is 1 + ceil(nibbles / 2) + whole.
+        operands = (aug[0][1] + 1) // 2 + aug[0][2]
+        row = []
+        for parts, nibbles, whole, entry, template, _, _ in aug[1:]:
+            saved = operands - (nibbles + 1) // 2 - whole
+            if saved > 0:
+                row.append((self.cand_id(parts, entry, template), saved))
+        key = len(self.rows)
+        self.rows.append(row)
+        self.aug[key] = tuple(aug)
+        return key
+
+    def pair_window(self, key_a: int, key_b: int) -> int:
+        """The window id of two adjacent slots, building its combination
+        row (both augmented sets crossed) on first sight."""
+        window = self.pairs.get((key_a, key_b))
+        if window is not None:
+            return window
+        aug_a, aug_b = self.aug[key_a], self.aug[key_b]
+        # Bytes of the two occurrences less the combined one's opcode.
+        operands = 1 + sum((m[1] + 1) // 2 + m[2]
+                           for m in (aug_a[0], aug_b[0]))
+        # A control transfer may only end a pattern: none anywhere in
+        # ``a``, none in ``b`` before its last part.
+        rights = [m for m in aug_b if not m[5]]
+        row = []
+        for a, nib_a, whole_a, entry_a, tmpl_a, early_a, last_a in aug_a:
+            if early_a or last_a:
+                continue
+            for b, nib_b, whole_b, entry_b, tmpl_b, _, _ in rights:
+                saved = (operands - (nib_a + nib_b + 1) // 2
+                         - whole_a - whole_b)
+                if saved > 0:
+                    row.append((self.cand_id(a + b, entry_a + entry_b,
+                                             tmpl_a + tmpl_b), saved))
+        window = len(self.rows)
+        self.rows.append(row)
+        self.pairs[(key_a, key_b)] = window
+        return window
+
 
 @dataclass
 class PassStats:
     """One greedy pass: scan size, admissions, and wall time (the total,
-    split into the savings refresh, admission, and rewrite phases)."""
+    split into the savings refresh, admission, and rewrite phases).
+    ``repriced`` counts the windows whose rows the refresh expanded."""
 
     candidates: int
     admitted: int
@@ -99,6 +220,7 @@ class PassStats:
     scan_s: float = 0.0
     admit_s: float = 0.0
     rewrite_s: float = 0.0
+    repriced: int = 0
 
 
 @dataclass
@@ -126,94 +248,53 @@ class BuildResult:
         return sum(p.seconds for p in self.pass_stats)
 
 
-def _augmented_set(
-    slot: Slot, cache: _AugCache
-) -> List[DictPattern]:
-    """The slot's pattern plus its one-field specializations (the paper's
-    "augmented operand-specialized set"), memoized per (pattern, insns).
+def _windows(slots: List[Slot], tables: _ScanTables) -> Dict[int, int]:
+    """One function's window multiset (window id → count): every slot's
+    specialization window, plus each adjacent pair that may combine —
+    no block start between them and at most ``_MAX_PARTS`` instructions.
 
-    Memoization pays because a slot is rescanned on every pass (up to
-    ``max_passes`` times) and because many slots share a pattern/insns
-    pair after specialization converges.
+    Rows are raw: every candidate whose occurrence saves bytes counts,
+    including patterns already in the dictionary — the caller filters
+    those out, which keeps per-function contributions subtractable."""
+    counts: Dict[int, int] = {}
+    get = counts.get
+    slot_key, pair_window = tables.slot_key, tables.pair_window
+    prev = -1
+    prev_len = 0
+    for slot in slots:
+        key = slot_key(slot)
+        counts[key] = get(key, 0) + 1
+        length = len(slot.insns)
+        if (prev >= 0 and not slot.is_block_start
+                and prev_len + length <= _MAX_PARTS):
+            window = pair_window(prev, key)
+            counts[window] = get(window, 0) + 1
+        prev, prev_len = key, length
+    return counts
+
+
+def _rescan(
+    slots: List[Slot], old: Dict[int, int], tables: _ScanTables
+) -> Tuple[Dict[int, int], Dict[int, int], int]:
+    """Re-window one function whose previous window multiset was ``old``.
+
+    Returns the new multiset, the function's net savings delta (candidate
+    id → fresh − stale savings, zeros dropped) and how many windows were
+    repriced.  Only windows whose count moved are expanded, and their
+    rows are netted over the whole function: the journal records one
+    delta per function and pass (replay indexes them by function).
     """
-    key = (slot.pattern, slot.insns)
-    cached = cache.get(key)
-    if cached is not None:
-        return cached
-    out = [slot.pattern]
-    for pi, (part, instr) in enumerate(zip(slot.pattern.parts, slot.insns)):
-        for spec in part.specializations(instr):
-            parts = list(slot.pattern.parts)
-            parts[pi] = spec
-            out.append(DictPattern(tuple(parts)))
-    cache[key] = out
-    return out
-
-
-def _spec_row(slot: Slot, tables: _ScanTables) -> List[Tuple[int, int]]:
-    """The slot's specialization candidates and their savings, memoized."""
-    key = (slot.pattern, slot.insns)
-    row = tables.spec.get(key)
-    if row is None:
-        cur_size = slot.pattern.encoded_size()
-        row = []
-        for cand in _augmented_set(slot, tables.aug)[1:]:
-            saved = cur_size - cand.encoded_size()
-            if saved > 0:
-                row.append((tables.intern(cand), saved))
-        tables.spec[key] = row
-    return row
-
-
-def _pair_row(
-    slot: Slot, nxt: Slot, tables: _ScanTables
-) -> List[Tuple[int, int]]:
-    """The adjacent pair's combination candidates and savings, memoized."""
-    key = (slot.pattern, slot.insns, nxt.pattern, nxt.insns)
-    row = tables.pair.get(key)
-    if row is None:
-        pair_size = slot.pattern.encoded_size() + nxt.pattern.encoded_size()
-        row = []
-        for a in _augmented_set(slot, tables.aug):
-            for b in _augmented_set(nxt, tables.aug):
-                cand = DictPattern(a.parts + b.parts)
-                if not cand.is_control_ok():
-                    continue
-                saved = pair_size - cand.encoded_size()
-                if saved > 0:
-                    row.append((tables.intern(cand), saved))
-        tables.pair[key] = row
-    return row
-
-
-def _scan_slots(
-    slots: List[Slot],
-    savings: Dict[int, int],
-    tables: _ScanTables,
-) -> None:
-    """Accumulate one function's raw candidate savings into ``savings``
-    (keyed by the tables' candidate ids).
-
-    Raw means pre-filter: every candidate whose occurrence saves bytes is
-    summed, including patterns already in the dictionary — the caller
-    filters those out.  Keeping the scan filter-free is what makes
-    per-function contributions subtractable for the incremental rescan.
-    """
-    get = savings.get
-    for i, slot in enumerate(slots):
-        # Operand specialization, one field at a time.
-        for cid, saved in _spec_row(slot, tables):
-            savings[cid] = get(cid, 0) + saved
-        # Opcode combination with the right neighbour.
-        if i + 1 >= len(slots):
-            continue
-        nxt = slots[i + 1]
-        if nxt.is_block_start:
-            continue
-        if len(slot.insns) + len(nxt.insns) > _MAX_PARTS:
-            continue
-        for cid, saved in _pair_row(slot, nxt, tables):
-            savings[cid] = get(cid, 0) + saved
+    new = _windows(slots, tables)
+    moved = [(w, n - old.get(w, 0)) for w, n in new.items()
+             if n != old.get(w, 0)]
+    moved += [(w, -n) for w, n in old.items() if w not in new]
+    rows = tables.rows
+    net: Dict[int, int] = {}
+    get = net.get
+    for window, count in moved:
+        for cid, saved in rows[window]:
+            net[cid] = get(cid, 0) + count * saved
+    return new, {cid: d for cid, d in net.items() if d}, len(moved)
 
 
 def prepare_rewrite(
@@ -254,15 +335,21 @@ def rewrite_function(
     # is why the journal replayer verifies its re-derived admissions
     # against the recorded list, order included.
     for slot in fn.slots:
-        shape = tuple(i.name for i in slot.insns)
+        insns = slot.insns
+        cands = singles_by_shape.get(
+            (insns[0].name,) if len(insns) == 1
+            else tuple(i.name for i in insns))
+        if cands is None:
+            continue
         best = slot.pattern
         best_size = slot.size
-        for cand in singles_by_shape.get(shape, ()):
-            if cand.encoded_size() < best_size and cand.matches(slot.insns):
+        for cand in cands:
+            if cand.encoded_size() < best_size and cand.matches(insns):
                 best = cand
                 best_size = cand.encoded_size()
         if best is not slot.pattern:
             slot.pattern = best
+            slot.__dict__.pop("_key", None)
             changed = True
     return changed
 
@@ -277,29 +364,14 @@ def _combine_slots(
         slot = slots[i]
         merged = None
         for cand in by_first.get(slot.insns[0].name, ()):
-            nparts = len(cand.parts)
-            # Collect a window of whole slots covering nparts insns.
-            window = [slot]
-            total = len(slot.insns)
-            j = i + 1
-            ok = True
-            while total < nparts:
-                if j >= len(slots) or slots[j].is_block_start:
-                    ok = False
-                    break
-                window.append(slots[j])
-                total += len(slots[j].insns)
-                j += 1
-            if not ok or total != nparts:
+            j = _match_window(slots, i, cand.parts)
+            if j is None:
                 continue
-            insns = tuple(ins for s in window for ins in s.insns)
-            if not cand.matches(insns):
-                continue
-            old = sum(s.size for s in window)
-            if cand.encoded_size() >= old:
+            window = slots[i:j]
+            if cand.encoded_size() >= sum(s.size for s in window):
                 continue
             merged = Slot(
-                insns=insns,
+                insns=tuple(ins for s in window for ins in s.insns),
                 pattern=cand,
                 is_block_start=slot.is_block_start,
                 labels=slot.labels,
@@ -313,6 +385,25 @@ def _combine_slots(
             out.append(slot)
             i += 1
     return out, merged_any
+
+
+def _match_window(
+    slots: List[Slot], i: int, parts: Tuple[InsnPattern, ...]
+) -> Optional[int]:
+    """The end of the run of whole slots from ``i`` whose instructions fit
+    ``parts`` exactly, with no block start after the first; ``None`` when
+    there is none.  Stops at the first part that does not match."""
+    k = 0
+    j = i
+    while k < len(parts):
+        if j >= len(slots) or (j > i and slots[j].is_block_start):
+            return None
+        for instr in slots[j].insns:
+            if k >= len(parts) or not parts[k].matches(instr):
+                return None
+            k += 1
+        j += 1
+    return j
 
 
 class BriscBuilder:
@@ -334,7 +425,6 @@ class BriscBuilder:
     ) -> None:
         self.slots: SlotProgram = build_slots(program)
         self.k = k
-        self.cost = CostModel(abundant_memory)
         self.max_passes = max_passes
         self.prune = prune
         self.seen: set = set()
@@ -343,21 +433,19 @@ class BriscBuilder:
         self.candidates_tested = 0
         self.passes = 0
         self.pass_stats: List[PassStats] = []
-        self._tables = _ScanTables()
-        # Incremental-scan state, keyed by the tables' dense candidate
-        # ids: per-function raw contributions, their merged totals, the
+        self._tables = _ScanTables(CostModel(abundant_memory))
+        # Incremental-scan state, keyed by the tables' dense ids:
+        # per-function window multisets, the merged savings totals, the
         # live (positive-benefit) candidate set, which ids are already
         # dictionary members (and how many of those sit in the merged
-        # map), admission floors, and the functions the last rewrite
-        # touched.  All maintained so the merged map always equals what
-        # a full rescan would produce.
-        self._fn_savings: Optional[List[Dict[int, int]]] = None
+        # map), and the functions the last rewrite touched.  All
+        # maintained so the merged map always equals a full rescan's.
+        self._fn_windows: Optional[List[Dict[int, int]]] = None
         self._savings: Dict[int, int] = {}
         self._live: Set[int] = set()
         self._dict_ids: Set[int] = set()
         self._dict_checked: Set[int] = set()
         self._dict_overlap = 0
-        self._floors: Dict[int, int] = {}
         self._changed: Set[int] = set()
         # Replay journal: records each pass's savings deltas, live set,
         # and admissions so an edited program can replay this build (see
@@ -417,110 +505,82 @@ class BriscBuilder:
 
     # -- candidate scoring ---------------------------------------------------
 
-    def _floor(self, cid: int) -> int:
-        """The admission floor: savings must exceed the pattern's
-        dictionary-entry bytes plus its working-set cost for B > 0.
-        Constant per pattern, so it is computed once and cached."""
-        floor = self._floors.get(cid)
-        if floor is None:
-            cand = self._tables.patterns[cid]
-            floor = cand.dictionary_size() + self.cost.working_set_cost(cand)
-            self._floors[cid] = floor
-        return floor
-
-    def _adjust(self, cid: int, delta: int) -> None:
-        """Apply one candidate's savings delta to the merged map,
+    def _apply(self, net: Dict[int, int]) -> None:
+        """Apply one function's net savings delta to the merged map,
         maintaining the live set, the dictionary-overlap count, and the
         paper's candidates-tested counter exactly as a full rescan
         would."""
-        savings = self._savings
-        current = savings.get(cid)
-        if current is None:
-            if delta <= 0:
-                return
-            savings[cid] = delta
-            if self._is_dict(cid):
-                self._dict_overlap += 1
-            else:
-                if cid not in self.seen:
-                    self.seen.add(cid)
+        savings, live, seen = self._savings, self._live, self.seen
+        dict_ids, checked = self._dict_ids, self._dict_checked
+        floors, floor_of = self._tables.floors, self._tables.floor
+        for cid, delta in net.items():
+            member = cid in dict_ids or (cid not in checked
+                                         and self._is_dict(cid))
+            current = savings.get(cid)
+            if current is None:
+                if delta <= 0:
+                    continue
+                savings[cid] = delta
+                if member:
+                    self._dict_overlap += 1
+                    continue
+                if cid not in seen:
+                    seen.add(cid)
                     self.candidates_tested += 1
-                if delta > self._floor(cid):
-                    self._live.add(cid)
-            return
-        value = current + delta
-        if value <= 0:
-            del savings[cid]
-            if self._is_dict(cid):
-                self._dict_overlap -= 1
+                value = delta
             else:
-                self._live.discard(cid)
-            return
-        savings[cid] = value
-        if not self._is_dict(cid):
-            if value > self._floor(cid):
-                self._live.add(cid)
+                value = current + delta
+                if value <= 0:
+                    del savings[cid]
+                    if member:
+                        self._dict_overlap -= 1
+                    else:
+                        live.discard(cid)
+                    continue
+                savings[cid] = value
+                if member:
+                    continue
+            floor = floors.get(cid)
+            if floor is None:
+                floor = floor_of(cid)
+            if value > floor:
+                live.add(cid)
             else:
-                self._live.discard(cid)
+                live.discard(cid)
 
-    def _scan_functions(
-        self, indices: Iterable[int]
-    ) -> List[Tuple[int, Dict[int, int]]]:
-        """Raw per-function savings (id-keyed) for the given indices."""
-        functions = self.slots.functions
-        out: List[Tuple[int, Dict[int, int]]] = []
-        for index in indices:
-            savings: Dict[int, int] = {}
-            _scan_slots(functions[index].slots, savings, self._tables)
-            out.append((index, savings))
-        return out
+    def _refresh_savings(self) -> int:
+        """Bring the merged savings map up to date for this pass; returns
+        the number of windows repriced.
 
-    def _refresh_savings(self) -> None:
-        """Bring the merged savings map up to date for this pass.
-
-        The first pass (and every pass when ``prune=False``) scans every
-        function; later passes re-scan only the functions the previous
-        rewrite changed, subtracting each one's stale contribution and
-        adding the fresh one.  Both paths produce the same merged map.
+        The first pass (and every pass when ``prune=False``) windows every
+        function from empty; later passes re-window only the functions the
+        previous rewrite changed and apply each one's net delta.  Both
+        paths produce the same merged map.
         """
         functions = self.slots.functions
-        if self._fn_savings is None or not self.prune:
-            self._fn_savings = [{} for _ in functions]
+        if self._fn_windows is None or not self.prune:
+            self._fn_windows = [{} for _ in functions]
             self._savings = {}
             self._live = set()
             self._dict_overlap = 0
-            self._apply_rescan(self._scan_functions(range(len(functions))))
-        elif self._changed:
-            self._apply_rescan(self._scan_functions(sorted(self._changed)))
+            indices: Sequence[int] = range(len(functions))
+        else:
+            indices = sorted(self._changed)
         self._changed = set()
-
-    def _apply_rescan(
-        self, scanned: List[Tuple[int, Dict[int, int]]]
-    ) -> None:
-        assert self._fn_savings is not None
         journal = self._journal
         record = journal.passes[-1].deltas if journal is not None else None
-        for index, fresh in scanned:
-            stale = self._fn_savings[index]
-            for cid, value in stale.items():
-                if cid not in fresh:
-                    self._adjust(cid, -value)
-            for cid, value in fresh.items():
-                delta = value - stale.get(cid, 0)
-                if delta:
-                    self._adjust(cid, delta)
+        repriced = 0
+        for index in indices:
+            self._fn_windows[index], net, moved = _rescan(
+                functions[index].slots, self._fn_windows[index], self._tables)
+            repriced += moved
+            self._apply(net)
             if record is not None:
-                # Net per-function delta (fresh − stale): replaying these
-                # in sequence reproduces the merged savings map exactly,
-                # because merging is plain addition.
-                net = {cid: -v for cid, v in stale.items()
-                       if cid not in fresh}
-                for cid, value in fresh.items():
-                    delta = value - stale.get(cid, 0)
-                    if delta:
-                        net[cid] = delta
+                # Replaying these per-function deltas in sequence
+                # reproduces the merged savings map exactly, because
+                # merging is plain addition.
                 record.append((index, net))
-            self._fn_savings[index] = fresh
+        return repriced
 
     # -- rewriting -----------------------------------------------------------
 
@@ -551,7 +611,7 @@ class BriscBuilder:
 
                 journal_pass = PassJournal()
                 journal.passes.append(journal_pass)
-            self._refresh_savings()
+            repriced = self._refresh_savings()
             t_scan = time.perf_counter()
             savings = self._savings
             # Snapshot before admission: the pass's candidate count is
@@ -566,11 +626,11 @@ class BriscBuilder:
             # the admission order) matches a full benefit sweep.  The
             # tie-break keys come from the pattern objects, so the
             # order is invariant under id assignment.
-            patterns = self._tables.patterns
+            patterns, floor = self._tables.patterns, self._tables.floor
             heap = []
             for cid in self._live:
                 cand = patterns[cid]
-                heap.append((self._floor(cid) - savings[cid],
+                heap.append((floor(cid) - savings[cid],
                              cand.dictionary_size(), str(cand), cand))
             heapq.heapify(heap)
             admitted: List[DictPattern] = []
@@ -588,7 +648,8 @@ class BriscBuilder:
             self.pass_stats.append(PassStats(
                 candidates=candidates, admitted=len(admitted),
                 seconds=t_end - t0, scan_s=t_scan - t0,
-                admit_s=t_admit - t_scan, rewrite_s=t_end - t_admit))
+                admit_s=t_admit - t_scan, rewrite_s=t_end - t_admit,
+                repriced=repriced))
             if len(admitted) < self.k:
                 break
         if journal is not None:

@@ -58,19 +58,21 @@ class CostModel:
         self._ppc = PPCLike()
         self._part_bytes: Dict[InsnPattern, int] = {}
 
-    def working_set_cost(self, pattern: DictPattern) -> int:
-        """W: average native template bytes for this dictionary entry."""
+    def part_bytes(self, part: InsnPattern) -> int:
+        """One part's Pentium + PPC template bytes (0 with abundant
+        memory); W is ``(sum over the parts + 1) // 2``."""
         if self.abundant_memory:
             return 0
-        both = 0  # Pentium + PPC template bytes, summed over the parts
-        for part in pattern.parts:
-            size = self._part_bytes.get(part)
-            if size is None:
-                rep = representative_instr(part)
-                size = self._pentium.instr_size(rep) + self._ppc.instr_size(rep)
-                self._part_bytes[part] = size
-            both += size
-        return (both + 1) // 2
+        size = self._part_bytes.get(part)
+        if size is None:
+            rep = representative_instr(part)
+            size = self._pentium.instr_size(rep) + self._ppc.instr_size(rep)
+            self._part_bytes[part] = size
+        return size
+
+    def working_set_cost(self, pattern: DictPattern) -> int:
+        """W: average native template bytes for this dictionary entry."""
+        return (sum(map(self.part_bytes, pattern.parts)) + 1) // 2
 
     def benefit(self, pattern: DictPattern, bytes_saved: int) -> int:
         """B = P − W, where P already includes the dictionary-entry cost."""

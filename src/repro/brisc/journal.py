@@ -45,7 +45,7 @@ from .builder import (
     BuildResult,
     PassStats,
     _config_sig,
-    _scan_slots,
+    _rescan,
     _ScanTables,
     prepare_rewrite,
     rewrite_function,
@@ -154,15 +154,14 @@ def replay_build(
 
     patterns = j.patterns
     ids = j.ids
-    cost = CostModel(abundant_memory)
 
     # Fresh scans intern straight into the journal's id space: shared
     # tables mean recorded deltas and replayed deltas agree on every id,
     # and appends never disturb an existing id.
-    tables = _ScanTables()
+    tables = _ScanTables(CostModel(abundant_memory))
     tables.ids = ids
     tables.patterns = patterns
-    intern = tables.intern
+    intern, floor = tables.intern, tables.floor
 
     # -- dictionary seeding (mirrors BriscBuilder._seed_base_patterns) --
     new_fns: Dict[int, SlotFunction] = {
@@ -210,21 +209,12 @@ def replay_build(
     touched: Set[int] = set(d_add | d_rem)
     NC: Dict[int, int] = {}
     OC: Dict[int, int] = {}
-    fn_sav: Dict[int, Dict[int, int]] = {i: {} for i in changed}
+    fn_windows: Dict[int, Dict[int, int]] = {i: {} for i in changed}
     seen: Set[int] = set()
-    floors: Dict[int, int] = {}
     heap_keys: Dict[int, Tuple[int, str, DictPattern]] = {}
     new_passes: List[PassJournal] = []
     pass_stats: List[PassStats] = []
     touch = touched.add
-
-    def floor(cid: int) -> int:
-        f = floors.get(cid)
-        if f is None:
-            pat = patterns[cid]
-            f = pat.dictionary_size() + cost.working_set_cost(pat)
-            floors[cid] = f
-        return f
 
     rescan: Set[int] = set(changed)  # pass 1 scans every function
     last = len(j.passes) - 1
@@ -232,6 +222,7 @@ def replay_build(
         tp = time.perf_counter()
         j_by_fn: Dict[int, Dict[int, int]] = dict(jp.deltas)
         new_deltas: List[Tuple[int, Dict[int, int]]] = []
+        repriced = 0
         mget = M.get
         for i in sorted(set(j_by_fn) | rescan):
             if i not in changed:
@@ -245,16 +236,9 @@ def replay_build(
                 new_deltas.append((i, delta))
                 continue
             if i in rescan:
-                fresh: Dict[int, int] = {}
-                _scan_slots(new_fns[i].slots, fresh, tables)
-                stale = fn_sav[i]
-                net = {cid: -v for cid, v in stale.items()
-                       if cid not in fresh}
-                for cid, v in fresh.items():
-                    d = v - stale.get(cid, 0)
-                    if d:
-                        net[cid] = d
-                fn_sav[i] = fresh
+                fn_windows[i], net, moved = _rescan(
+                    new_fns[i].slots, fn_windows[i], tables)
+                repriced += moved
                 for cid, d in net.items():
                     touch(cid)
                     NC[cid] = NC.get(cid, 0) + d
@@ -337,7 +321,8 @@ def replay_build(
         pass_stats.append(PassStats(
             candidates=candidates, admitted=len(admitted_cids),
             seconds=t_end - tp, scan_s=t_scan - tp,
-            admit_s=t_admit - t_scan, rewrite_s=t_end - t_admit))
+            admit_s=t_admit - t_scan, rewrite_s=t_end - t_admit,
+            repriced=repriced))
         if journal:
             new_passes.append(PassJournal(
                 deltas=new_deltas,

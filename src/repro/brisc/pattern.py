@@ -126,6 +126,12 @@ class InsnPattern:
             self.__dict__["_sizes"] = sizes
         return sizes
 
+    def is_control(self) -> bool:
+        """Does this instruction transfer control (jump, branch, call,
+        return or syscall)?"""
+        return (SPEC[self.name].group in ("flow", "branch", "brimm")
+                or self.name == "sys")
+
     def matches(self, instr: Instr) -> bool:
         """Does ``instr`` fit this pattern (burned fields equal, wildcards
         wide enough)?"""
@@ -275,11 +281,7 @@ class DictPattern:
 
     def is_control_ok(self) -> bool:
         """Control transfers only in the final part."""
-        for part in self.parts[:-1]:
-            if (SPEC[part.name].group in ("flow", "branch", "brimm")
-                    or part.name == "sys"):
-                return False
-        return True
+        return not any(part.is_control() for part in self.parts[:-1])
 
     def dictionary_size(self) -> int:
         """Bytes this entry occupies in the transmitted dictionary

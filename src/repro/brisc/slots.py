@@ -37,6 +37,12 @@ class Slot:
         """Current encoded size (opcode byte + operand bytes)."""
         return self.pattern.encoded_size()
 
+    # The builder's slot-key cache (``_key``) never crosses a pickle.
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_key", None)
+        return state
+
 
 @dataclass
 class SlotFunction:

@@ -220,7 +220,8 @@ def finish_brisc(cp, config: PipelineConfig) -> Tuple[Any, int, Dict[str, Any]]:
              "seconds": round(p.seconds, 6),
              "scan_s": round(p.scan_s, 6),
              "admit_s": round(p.admit_s, 6),
-             "rewrite_s": round(p.rewrite_s, 6)}
+             "rewrite_s": round(p.rewrite_s, 6),
+             "repriced": p.repriced}
             for p in cp.build.pass_stats
         ],
     }

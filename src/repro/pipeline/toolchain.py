@@ -85,6 +85,8 @@ class BuilderStats:
     scan_s: float = 0.0
     admit_s: float = 0.0
     rewrite_s: float = 0.0
+    #: Windows whose candidate rows the savings refreshes expanded.
+    repriced: int = 0
 
     def note(self, meta: Dict[str, Any]) -> None:
         pass_rows = meta.get("builder_passes")
@@ -99,12 +101,14 @@ class BuilderStats:
         self.scan_s += sum(p.get("scan_s", 0.0) for p in pass_rows)
         self.admit_s += sum(p.get("admit_s", 0.0) for p in pass_rows)
         self.rewrite_s += sum(p.get("rewrite_s", 0.0) for p in pass_rows)
+        self.repriced += sum(p.get("repriced", 0) for p in pass_rows)
 
     def as_dict(self) -> Dict[str, Any]:
         return {"builds": self.builds, "passes": self.passes,
                 "candidates": self.candidates, "admitted": self.admitted,
                 "seconds": self.seconds, "scan_s": self.scan_s,
-                "admit_s": self.admit_s, "rewrite_s": self.rewrite_s}
+                "admit_s": self.admit_s, "rewrite_s": self.rewrite_s,
+                "repriced": self.repriced}
 
 
 def _digest(text: str) -> str:

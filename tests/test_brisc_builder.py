@@ -1,12 +1,18 @@
 """Greedy BRISC dictionary construction tests, including the paper's
 worked cost-benefit example."""
 
+import re
+
+from hypothesis import assume, given, settings, strategies as st
 
 import repro
+from repro.brisc import compress
 from repro.brisc.builder import build_dictionary
 from repro.brisc.cost import CostModel, representative_instr
+from repro.brisc.journal import incremental_compress, replay_build
 from repro.brisc.pattern import DictPattern, pattern_of_instr
 from repro.brisc.slots import build_slots
+from repro.corpus import generate_program_source
 from repro.vm.asm import parse_function
 from repro.vm.instr import Instr, VMProgram
 from repro.vm.isa import REG_SP
@@ -155,6 +161,10 @@ class TestGreedyConstruction:
         assert result.passes == 1
 
 
+#: An integer literal, unless it is a case label (bumping one of those
+#: can duplicate a label).
+_INT_LITERAL = re.compile(r"(?<!case )\b\d+\b")
+
 #: Repetitive bodies so the greedy builder runs several passes at small k.
 UNIT_A = "\n".join(
     f"int f{i}(int a, int b) {{ return a * {i} + b; }}" for i in range(40)
@@ -192,6 +202,44 @@ class TestDeterminism:
             prog = repro.compile_c(SAMPLES[name], name)
             assert self._fingerprint(build_dictionary(prog)) == \
                 self._fingerprint(build_dictionary(prog, prune=False)), name
+
+    @given(functions=st.integers(3, 8), seed=st.integers(0, 10_000),
+           k=st.integers(3, 6), pick=st.integers(0, 10_000))
+    @settings(max_examples=20, deadline=None)
+    def test_generated_programs_build_and_replay_exactly(
+            self, functions, seed, k, pick):
+        """On generated programs: the pruned build matches the full-rescan
+        reference; replaying its journal with one function marked changed
+        (but not edited) reproduces it; and replay after a one-function
+        literal edit gives a cold build's image."""
+        source = generate_program_source(functions=functions, seed=seed)
+        prog = repro.compile_c(source, "gen")
+        cp = compress(prog, k=k, journal=True)
+        assume(cp.build.passes >= 2)  # multi-pass, or this proves nothing
+        fingerprint = self._fingerprint(cp.build)
+        assert fingerprint == self._fingerprint(
+            build_dictionary(prog, k=k, prune=False))
+
+        index = pick % len(prog.functions)
+        again = replay_build(prog, cp.build, {index}, k=k)
+        assert again is not None
+        assert self._fingerprint(again) == fingerprint
+
+        # Bump one integer literal inside one generated function body.
+        literals = [lit for body in re.finditer(r"^int \w+\(.*?^}", source,
+                                                re.M | re.S)
+                    for lit in _INT_LITERAL.finditer(source, body.start(),
+                                                     body.end())]
+        lit = literals[pick % len(literals)]
+        edited = (source[:lit.start()] + str(int(lit.group()) + 1)
+                  + source[lit.end():])
+        edited_prog = repro.compile_c(edited, "gen")
+        cold = compress(edited_prog, k=k)
+        replayed = incremental_compress(edited_prog, prog, cp.build, k=k)
+        if replayed is not None:
+            assert replayed.image.blob == cold.image.blob
+            assert self._fingerprint(replayed.build) == \
+                self._fingerprint(cold.build)
 
     def test_pass_stats_cover_every_pass(self):
         from repro.corpus.samples import SAMPLES

@@ -4,6 +4,7 @@ import pickle
 
 from hypothesis import given, settings, strategies as st
 
+from repro.brisc.builder import _ScanTables
 from repro.brisc.cost import CostModel, representative_instr
 from repro.brisc.pattern import (
     Burned, DictPattern, deserialize_pattern,
@@ -237,6 +238,16 @@ def test_part_sums_match_whole_pattern_pricing(parts):
     assert w == _reference_w(p)
     assert p.dictionary_size() == len(serialize_pattern(p))
     assert p.encoded_size() == 1 + p.operand_layout()[0]
+    # The builder's scan tables price the part-id tuple from per-part
+    # arrays, with no DictPattern in hand.
+    tables = _ScanTables()
+    ids, nibbles, whole, entry, template, early, _ = tables.measure(
+        tuple(map(tables.part_id, parts)))
+    assert 1 + (nibbles + 1) // 2 + whole == p.encoded_size()
+    assert p.is_control_ok() == (not early)
+    cid = tables.cand_id(ids, entry, template)
+    assert tables.patterns[cid] == p
+    assert tables.floor(cid) == p.dictionary_size() + w
     # A pickle carries only the fields, never the per-instance caches
     # filled above, and the copy prices the same from scratch.
     q = pickle.loads(pickle.dumps(p))

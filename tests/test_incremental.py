@@ -244,6 +244,32 @@ class TestJournal:
             BIG, name="u", config=config.with_journal())
         assert plain.brisc.image.blob == journaled.brisc.image.blob
 
+    def test_pickled_build_replays_to_the_cold_image(self):
+        """A journaled build that went through pickle, as the disk cache
+        stores it, replays an edit (on fresh scan tables) to the cold
+        build's image; the builder's slot-key caches stay behind."""
+        import pickle
+
+        import repro
+        from repro.brisc import compress
+        from repro.brisc.journal import incremental_compress
+
+        prog = repro.compile_c(BIG, "u")
+        edited = repro.compile_c(BIG_EDIT, "u")
+        built = compress(prog, k=6, journal=True)
+
+        def cached_keys(cp):
+            return sum("_key" in vars(slot)
+                       for fn in cp.build.slots.functions
+                       for slot in fn.slots)
+
+        assert cached_keys(built) > 0
+        prev = pickle.loads(pickle.dumps(built, pickle.HIGHEST_PROTOCOL))
+        assert cached_keys(prev) == 0
+        replayed = incremental_compress(edited, prog, prev.build, k=6)
+        assert replayed is not None
+        assert replayed.image.blob == compress(edited, k=6).image.blob
+
     def test_journal_is_attached_only_when_requested(self):
         config = Toolchain().config.with_brisc(k=6)
         plain = Toolchain().compile(BIG, name="u", config=config)

@@ -92,14 +92,16 @@ class TestBriscSection:
     def test_augmented_sets_give_16_combination_candidates(self, program):
         """The paper: combining instructions 1 and 2 generates the 16
         pairs from both augmented operand-specialized sets (4 x 4)."""
-        from repro.brisc.builder import _augmented_set
+        from repro.brisc.builder import _ScanTables
         from repro.brisc.slots import build_slots
 
         fn = build_slots(program).functions[0]
-        a = _augmented_set(fn.slots[0], {})
-        b = _augmented_set(fn.slots[1], {})
+        tables = _ScanTables()
+        a = tables.augmented_set(fn.slots[0])
+        b = tables.augmented_set(fn.slots[1])
         assert len(a) == 4 and len(b) == 4
         assert len(a) * len(b) == 16
+        assert len({x + y for x in a for y in b}) == 16
 
     def test_small_program_learns_nothing(self, program):
         """"Because of their code-generation/interpretation table cost, W,

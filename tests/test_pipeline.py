@@ -139,8 +139,10 @@ def test_brisc_meta_records_builder_pass_stats():
     passes = meta["builder_passes"]
     assert len(passes) == res.brisc.build.passes
     assert all(set(p) == {"candidates", "admitted", "seconds", "scan_s",
-                          "admit_s", "rewrite_s"}
+                          "admit_s", "rewrite_s", "repriced"}
                for p in passes)
+    # The first pass windows every function from empty.
+    assert passes[0]["repriced"] > 0
     # The phases split the pass total (timer reads between them aside).
     for p in passes:
         phases = p["scan_s"] + p["admit_s"] + p["rewrite_s"]
@@ -155,6 +157,7 @@ def test_toolchain_aggregates_builder_stats():
     assert builder["builds"] == 1
     assert builder["passes"] >= 1
     assert builder["scan_s"] > 0
+    assert builder["repriced"] > 0
     assert (builder["scan_s"] + builder["admit_s"] + builder["rewrite_s"]
             <= builder["seconds"] + 1e-5 * builder["passes"])
     # A cache hit must not double-count the build.
@@ -352,6 +355,7 @@ def test_stats_dict_shape():
     assert stats["brisc_builder"] == {
         "builds": 0, "passes": 0, "candidates": 0, "admitted": 0,
         "seconds": 0.0, "scan_s": 0.0, "admit_s": 0.0, "rewrite_s": 0.0,
+        "repriced": 0,
     }
     tc.reset_stats()
     assert total_runs(tc) == 0
