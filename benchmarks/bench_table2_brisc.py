@@ -19,7 +19,9 @@ from conftest import save_table
 from repro.bench import brisc_row, brisc_table, compressed_suite
 from repro.bench.measure import interp_overhead
 from repro.brisc import run_image
+from repro.corpus import build_input
 from repro.jit import jit_compile
+from repro.vm import run_program
 
 SUITE = ["wc", "lcc"]
 
@@ -33,13 +35,26 @@ def test_jit_throughput(benchmark, name):
     assert result.output_bytes > 0
 
 
-def test_brisc_interpretation_kernel(benchmark):
-    """In-place interpretation of the compressed wc program."""
+#: The three ways to run a program: the plain VM, BRISC in place with each
+#: decoded slot kept in the dispatch table, and BRISC decoding every visit.
+_INTERPRETERS = {
+    "vm": lambda cp, program: run_program(program),
+    "brisc-cached": lambda cp, program: run_image(cp.image.blob),
+    "brisc-uncached": lambda cp, program: run_image(cp.image.blob,
+                                                    cache_decoded=False),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(_INTERPRETERS))
+def test_interpretation_kernel(benchmark, mode):
+    """Interpretation of the wc program; every mode must match the VM."""
     cp = compressed_suite("wc")
+    program = build_input("wc").program
+    expected = run_program(program)
     result = benchmark.pedantic(
-        lambda: run_image(cp.image.blob, cache_decoded=False),
-        rounds=1, iterations=1)
-    assert result.exit_code == 0
+        lambda: _INTERPRETERS[mode](cp, program), rounds=1, iterations=1)
+    assert (result.exit_code, result.output, result.steps) == (
+        expected.exit_code, expected.output, expected.steps)
 
 
 def test_table2_rows(benchmark, results_dir):

@@ -499,9 +499,10 @@ def decode_slot(
     offset: int,
     ctx: int,
     names: Optional[List[str]] = None,
-) -> Tuple[DictPattern, List[Instr], int]:
+) -> Tuple[DictPattern, List[Instr], int, int]:
     """Decode one slot at ``offset``; returns (pattern, instructions,
-    next_offset).  Label operands come back as ``L<offset>`` names;
+    next_offset, pattern_id) — the id is the context for a fall-through
+    successor.  Label operands come back as ``L<offset>`` names;
     symbol indices resolve through ``names`` (default: the image's own
     symbol table)."""
     if names is None:
@@ -568,7 +569,7 @@ def decode_slot(
                 operands.append(values[vi])
                 vi += 1
         instrs.append(Instr(part.name, tuple(operands)))  # type: ignore[arg-type]
-    return pattern, instrs, offset
+    return pattern, instrs, offset, pid
 
 
 def decode_image(
@@ -596,22 +597,14 @@ def decode_image(
                     assert prev is not None
                     ctx = prev
                 offset_to_index[offset] = len(vmf.code)
-                pattern, instrs, next_offset = decode_slot(image, fn, offset,
-                                                           ctx, names)
+                _, instrs, offset, prev = decode_slot(image, fn, offset, ctx,
+                                                      names)
                 for instr in instrs:
                     for kind, value in zip(instr.spec.signature,
                                            instr.operands):
                         if kind is Operand.LABEL:
                             referenced.add(str(value))
                 vmf.code.extend(instrs)
-                # Track which pattern id produced this slot for the context.
-                byte = fn.code[offset]
-                if byte == ESCAPE:
-                    prev = int.from_bytes(fn.code[offset + 1 : offset + 3],
-                                          "little")
-                else:
-                    prev = image.tables[ctx][byte]
-                offset = next_offset
             # Labels at every block start and at referenced offsets.
             for off in sorted(set(fn.bb_offsets) | {0}):
                 if off in offset_to_index:

@@ -2,33 +2,39 @@
 
 The interpreter fetches at byte offsets inside the compressed code,
 resolves the opcode byte through the Markov context tables, unpacks the
-operand bytes, and executes the pattern's parts through the same
-instruction semantics as the plain VM interpreter
-(:meth:`repro.vm.interp.Interpreter._exec`).
+operand bytes, and compiles the pattern's parts through the same
+instruction-semantics table as the plain VM interpreter
+(:data:`repro.vm.interp.SEMANTICS`) into one dispatch-table entry per slot.
+
+Every control transfer must land on a block start (offset 0 or a
+``bb_offsets`` entry), where the special Markov contexts let decoding
+begin: branch labels are checked when their slot is compiled, return
+addresses when the return executes.  Anywhere else a slot is reached by
+falling through from its predecessor, whose pattern id is the context.
 
 Two modes:
 
+* ``cache_decoded=True`` (the default, and the mode the benchmarks time)
+  — a slot is decoded and compiled on its first visit and then stays in
+  the dispatch table, so the code runs in place without a decompression
+  pass (closer to a threaded interpreter).
 * ``cache_decoded=False`` — true interpretation in place: every visit to a
-  slot re-decodes it.  This is the configuration whose overhead the paper's
-  "BRISC interpreted" column measures (they saw ~12x against native code).
-* ``cache_decoded=True`` — memoize decoded slots, amortizing decode cost
-  (closer to a threaded interpreter; used by tests for speed).
+  slot re-decodes and recompiles it.  This is the configuration whose
+  overhead the paper's "BRISC interpreted" column measures (they saw
+  ~12x against native code).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import CorruptStreamError
 from ..vm.instr import VMFunction, VMProgram
-from ..vm.interp import Interpreter, VMError
-from ..vm.isa import Operand
+from ..vm.interp import Interpreter, Op, VMError
 from .encode import decode_slot, parse_image, symbol_names
-from .markov import CTX_BB, CTX_ENTRY, ESCAPE
+from .markov import CTX_BB, CTX_ENTRY
 
 __all__ = ["BriscInterpreter", "run_image"]
-
-_Group = Tuple[Tuple[str, tuple], ...]
 
 
 class BriscInterpreter(Interpreter):
@@ -41,9 +47,12 @@ class BriscInterpreter(Interpreter):
         max_steps: int = 50_000_000,
         stdin: str = "",
         cache_decoded: bool = True,
-        count_opcodes: bool = False,
     ) -> None:
         decoded = parse_image(image)
+        for pid, pattern in enumerate(decoded.patterns):
+            if any(part.is_control() for part in pattern.parts[:-1]):
+                raise CorruptStreamError(
+                    f"pattern {pid} transfers control before its last part")
         self._image = decoded
         self._sym_names: List[str] = symbol_names(decoded)
         shell = VMProgram("brisc", entry=decoded.entry)
@@ -54,132 +63,89 @@ class BriscInterpreter(Interpreter):
                            param_bytes=fn.param_bytes)
             )
         self._cache_decoded = cache_decoded
-        self._slot_cache: Dict[Tuple[int, int], Tuple[_Group, int, int]] = {}
+        # Table index just past a decoded slot -> that slot's pattern id:
+        # the Markov context for decoding its fall-through successor.
+        self._pred_pid: Dict[int, int] = {}
         self.slots_decoded = 0
         super().__init__(shell, memory_size=memory_size, max_steps=max_steps,
-                         stdin=stdin, count_opcodes=count_opcodes)
+                         stdin=stdin)
 
-    def _resolve_function(self, fn: VMFunction):
-        return []  # execution decodes from the image instead
+    def _link(self) -> None:
+        # Table index = function base + byte offset; slots compile lazily.
+        self._layout([len(fn.code) for fn in self._image.functions])
 
-    # -- fetch/decode --------------------------------------------------------
+    def _label(self, func: int, label) -> int:
+        return self._landing(func, int(str(label)[1:]))  # "L<offset>"
 
-    def _fetch_slot(self, func: int, offset: int) -> Tuple[_Group, int, int]:
-        """Decode the slot at ``offset``: (group, next_offset, pattern_id)."""
-        if self._cache_decoded:
-            cached = self._slot_cache.get((func, offset))
-            if cached is not None:
-                return cached
+    def _landing(self, func: int, offset: int) -> int:
+        if offset != 0 and offset not in self._image.functions[func].bb_offsets:
+            raise VMError(f"jump into mid-block offset {offset}")
+        return super()._landing(func, offset)
+
+    def _fill(self, index: int) -> None:
+        """Decode and compile the slot at table ``index`` on its first
+        visit.  Uncached, the entry becomes a stub that decodes and
+        compiles the slot again on every visit before running it."""
+        func, offset = self._locate(index)
         fn = self._image.functions[func]
-        ctx = self._context_at(func, offset)
-        pattern, instrs, next_offset = decode_slot(self._image, fn, offset, ctx,
-                                                    self._sym_names)
-        self.slots_decoded += 1
-        pid = self._pattern_id(fn, offset, ctx)
-        group: List[Tuple[str, tuple]] = []
-        for instr in instrs:
-            ops: List[object] = []
-            for kind, value in zip(instr.spec.signature, instr.operands):
-                if kind is Operand.LABEL:
-                    ops.append(int(str(value)[1:]))  # "L<offset>" -> offset
-                elif kind is Operand.SYM:
-                    ops.append(self._resolve_sym(value))
-                else:
-                    ops.append(value)
-            group.append((instr.name, tuple(ops)))
-        result = (tuple(group), next_offset, pid)
-        if self._cache_decoded:
-            self._slot_cache[(func, offset)] = result
-        return result
-
-    def _pattern_id(self, fn, offset: int, ctx: int) -> int:
-        """The pattern id at ``offset``, with the context-table lookup
-        guarded so a corrupt image raises a typed error, never a bare
-        ``KeyError``/``IndexError``, even if a decode path misses a check."""
-        byte = fn.code[offset]
-        if byte == ESCAPE:
-            return int.from_bytes(fn.code[offset + 1 : offset + 3], "little")
-        table = self._image.tables.get(ctx)
-        if table is None or byte >= len(table):
-            raise CorruptStreamError(
-                f"invalid opcode byte {byte} in context {ctx}")
-        return table[byte]
-
-    def _resolve_sym(self, value) -> Tuple[str, int]:
-        name = str(value)
-        if name in self._func_index:
-            return ("func", self._func_index[name])
-        if name in self.symbols:
-            return ("data", self.symbols[name])
-        raise VMError(f"undefined symbol {name!r}")
-
-    def _context_at(self, func: int, offset: int) -> int:
-        """Context for decoding at ``offset``.
-
-        Sequential execution tracks the previous pattern id; this method is
-        only called on control-transfer entry points (offset 0 or a basic
-        block start), where the special contexts apply — which is exactly
-        why the paper gives block beginnings their own contexts.
-        """
         if offset == 0:
-            return CTX_ENTRY
-        fn = self._image.functions[func]
-        if offset in fn.bb_offsets:
-            return CTX_BB
-        raise VMError(f"jump into mid-block offset {offset}")
+            ctx = CTX_ENTRY
+        elif offset in fn.bb_offsets:
+            ctx = CTX_BB
+        else:
+            pred = self._pred_pid.get(index)
+            if pred is None:
+                raise VMError(f"jump into mid-block offset {offset}")
+            ctx = pred
+        decode = self._decoder(func, offset, ctx)
+        run, self._sizes[index] = decode()
+        if not self._cache_decoded:
+            # This visit runs what was just decoded; later ones decode again.
+            code, first = self._code, run
 
-    # -- execution -----------------------------------------------------------
+            def again():
+                return decode()[0]()
 
-    def _loop(self, func: int, pc: int) -> int:
-        prev_pid: Optional[int] = None
-        while True:
-            if self.exit_code is not None:
-                return self.exit_code
-            fn = self._image.functions[func]
-            if pc >= len(fn.code):
-                raise VMError(f"fell off the end of {fn.name}")
-            # Sequential decode can use the tracked previous pattern id
-            # unless this offset begins a basic block.
-            if pc == 0 or prev_pid is None or pc in fn.bb_offsets:
-                group, next_pc, pid = self._fetch_slot(func, pc)
-            else:
-                group, next_pc, pid = self._fetch_sequential(func, pc, prev_pid)
-            start_func, start_pc = func, pc
-            pc = next_pc
-            for name, ops in group:
-                func, pc, halt = self._exec(name, ops, func, pc)
-                if halt is not None:
-                    return halt
-            prev_pid = pid if (func == start_func and pc == next_pc) else None
+            def run():
+                code[index] = again
+                return first()
+        self._code[index] = run
 
-    def _fetch_sequential(
-        self, func: int, offset: int, prev_pid: int
-    ) -> Tuple[_Group, int, int]:
-        """Decode using the previous pattern's context (fall-through)."""
-        if self._cache_decoded:
-            cached = self._slot_cache.get((func, offset))
-            if cached is not None:
-                return cached
-        fn = self._image.functions[func]
-        pattern, instrs, next_offset = decode_slot(
-            self._image, fn, offset, prev_pid, self._sym_names)
-        self.slots_decoded += 1
-        pid = self._pattern_id(fn, offset, prev_pid)
-        group: List[Tuple[str, tuple]] = []
-        for instr in instrs:
-            ops: List[object] = []
-            for kind, value in zip(instr.spec.signature, instr.operands):
-                if kind is Operand.LABEL:
-                    ops.append(int(str(value)[1:]))
-                elif kind is Operand.SYM:
-                    ops.append(self._resolve_sym(value))
-                else:
-                    ops.append(value)
-            group.append((instr.name, tuple(ops)))
-        result = (tuple(group), next_offset, pid)
-        if self._cache_decoded:
-            self._slot_cache[(func, offset)] = result
-        return result
+    def _decoder(self, func: int, offset: int, ctx: int):
+        """A function that decodes the slot at ``offset`` of ``func`` in
+        context ``ctx`` and returns (compiled op, instruction count)."""
+        image, names = self._image, self._sym_names
+        fn, base, compile_ = image.functions[func], self._bases[func], self._compile
+
+        def decode():
+            _, instrs, nxt, pid = decode_slot(image, fn, offset, ctx, names)
+            self.slots_decoded += 1
+            self._pred_pid[base + nxt] = pid
+            return (_chain([compile_(instr, func, nxt) for instr in instrs]),
+                    len(instrs))
+        return decode
+
+
+def _chain(parts: Sequence[Op]) -> Op:
+    """One op for a slot (patterns have at least one part): run every
+    part; only the last may transfer control, so its result is the
+    slot's."""
+    if len(parts) == 1:
+        return parts[0]
+    if len(parts) == 2:
+        first, last = parts
+
+        def run2():
+            first()
+            return last()
+        return run2
+    *head, last = parts
+
+    def run():
+        for part in head:
+            part()
+        return last()
+    return run
 
 
 def run_image(

@@ -13,6 +13,19 @@ __all__ = ["Instr", "VMFunction", "VMProgram"]
 OperandValue = Union[int, float, str]
 
 
+#: Mnemonic -> the type each operand must be an instance of: ints for
+#: registers and immediates, numbers for double immediates, strings for
+#: labels and symbols.
+_OPERAND_TYPES: Dict[str, Tuple[Union[type, Tuple[type, ...]], ...]] = {
+    name: tuple(
+        int if kind in (Operand.REG, Operand.FREG, Operand.IMM)
+        else (int, float) if kind is Operand.DIMM
+        else str
+        for kind in spec.signature)
+    for name, spec in SPEC.items()
+}
+
+
 @dataclass(frozen=True)
 class Instr:
     """One VM instruction: mnemonic plus operand values.
@@ -26,7 +39,15 @@ class Instr:
     operands: Tuple[OperandValue, ...] = ()
 
     def __post_init__(self) -> None:
-        spec = self.spec  # raises KeyError for unknown mnemonics
+        types = _OPERAND_TYPES[self.name]  # KeyError for unknown mnemonics
+        if (len(self.operands) != len(types)
+                or not all(map(isinstance, self.operands, types))):
+            self._reject()
+
+    def _reject(self) -> None:
+        """Raise the ``ValueError`` naming the first operand that does not
+        fit the mnemonic's signature."""
+        spec = self.spec
         if len(self.operands) != len(spec.signature):
             raise ValueError(
                 f"{self.name} takes {len(spec.signature)} operands, "

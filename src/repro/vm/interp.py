@@ -6,22 +6,33 @@ and the stack grows down from the top.  Function and return addresses live
 in distinguishable high ranges so function pointers and ``ra`` values can
 be stored to memory and reloaded like any other 32-bit word.
 
+Dispatch: :data:`SEMANTICS` maps every mnemonic to a factory that binds
+the instruction's resolved operands (register indices, immediates, branch
+targets, symbol addresses) into a closure, once, on the instruction's first
+visit.  Running a closure executes the instruction and returns the index of
+the next one to run.  Every function is laid out in one flat index space
+(see :meth:`Interpreter._layout`), so a call or return is just another
+jump.  The in-place BRISC interpreter (:mod:`repro.brisc.interp`) fills the
+same table with decoded slots.
+
 The interpreter counts executed instructions; ``clock`` (syscall 8) returns
 that count, which gives corpus programs a deterministic timing source.
 """
 
 from __future__ import annotations
 
+import operator
 import struct
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from bisect import bisect_right
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..ir.tree import PtrInit, ScalarInit
-from .instr import VMFunction, VMProgram
-from .isa import NUM_FREGS, NUM_IREGS, Operand, REG_RA, REG_SP, SYSCALLS
+from .instr import Instr, VMProgram
+from .isa import NUM_FREGS, NUM_IREGS, Operand, REG_RA, REG_SP, SPEC, SYSCALLS
 
 __all__ = ["VMError", "ExecutionResult", "Interpreter", "run_program",
-           "GLOBAL_BASE", "FUNC_ADDR_BASE"]
+           "SEMANTICS", "GLOBAL_BASE", "FUNC_ADDR_BASE"]
 
 GLOBAL_BASE = 0x1000
 FUNC_ADDR_BASE = 0x4000_0000
@@ -52,7 +63,393 @@ class ExecutionResult:
     exit_code: int
     output: str
     steps: int
-    opcode_counts: Dict[str, int] = field(default_factory=dict)
+
+
+# -- traps: rare exits from the dispatch loop -----------------------------------
+
+
+class _Halt(Exception):
+    """``hlt`` or a return to ``HALT_ADDR``: the program's exit value."""
+
+    def __init__(self, value: int) -> None:
+        self.value = value
+
+
+class _Syscall(Exception):
+    """``sys N``: the loop stores its step count, then serves the call."""
+
+    def __init__(self, number: int, resume: int) -> None:
+        self.number = number
+        self.resume = resume
+
+
+class _Miss(Exception):
+    """The table entry is not compiled yet; the loop calls ``_fill``."""
+
+
+def _miss() -> int:
+    raise _Miss
+
+
+# -- instruction semantics --------------------------------------------------------
+
+#: A compiled instruction: runs it, returns the next table index.
+Op = Callable[[], int]
+#: ``factory(interp, operands, next_index)`` -> compiled op.  ``operands``
+#: are resolved: labels are table indices, symbols addresses.
+Factory = Callable[["Interpreter", Tuple, int], Op]
+
+SEMANTICS: Dict[str, Factory] = {}
+
+
+def _define(factory: Factory, *names: str) -> None:
+    for name in names:
+        SEMANTICS[name] = factory
+
+
+def _load(fmt: str) -> Factory:
+    unpack = struct.Struct("<" + fmt).unpack_from
+    size = struct.calcsize(fmt)
+
+    def factory(vm, ops, nxt):
+        # ``ldx``/``stx`` forms have no displacement.
+        d, k, b = ops if len(ops) == 3 else (ops[0], 0, ops[1])
+        regs, mem = vm.iregs, vm.memory
+        dst = vm.fregs if fmt == "d" else regs
+        lo, top = GLOBAL_BASE, len(mem) - size
+
+        def run():
+            a = (regs[b] & 0xFFFF_FFFF) + k
+            if a < lo or a > top:
+                raise VMError(f"memory access out of range: {a:#x}+{size}")
+            dst[d] = unpack(mem, a)[0]
+            return nxt
+        return run
+    return factory
+
+
+def _store(fmt: str) -> Factory:
+    pack = struct.Struct("<" + fmt).pack_into
+    size = struct.calcsize(fmt)
+
+    def factory(vm, ops, nxt):
+        s, k, b = ops if len(ops) == 3 else (ops[0], 0, ops[1])
+        regs, mem = vm.iregs, vm.memory
+        lo, top = GLOBAL_BASE, len(mem) - size
+        if fmt == "d":
+            fregs = vm.fregs
+
+            def run():
+                a = (regs[b] & 0xFFFF_FFFF) + k
+                if a < lo or a > top:
+                    raise VMError(f"memory access out of range: {a:#x}+{size}")
+                pack(mem, a, fregs[s])
+                return nxt
+            return run
+        mask = (1 << (8 * size)) - 1
+
+        def run():
+            a = (regs[b] & 0xFFFF_FFFF) + k
+            if a < lo or a > top:
+                raise VMError(f"memory access out of range: {a:#x}+{size}")
+            pack(mem, a, regs[s] & mask)
+            return nxt
+        return run
+    return factory
+
+
+for _w, _fmt in (("iw", "i"), ("ib", "b"), ("iub", "B"), ("ih", "h"),
+                 ("iuh", "H"), ("d", "d")):
+    _define(_load(_fmt), f"ld.{_w}", f"ldx.{_w}")
+for _w, _fmt in (("iw", "I"), ("ib", "B"), ("ih", "H"), ("d", "d")):
+    _define(_store(_fmt), f"st.{_w}", f"stx.{_w}")
+_define(SEMANTICS["ld.iw"], "reload.i")
+_define(SEMANTICS["st.iw"], "spill.i")
+
+
+def _constant(vm, ops, nxt):
+    """``li``/``la``: the wrapped value is folded at compile time."""
+    d, value = ops
+    regs, value = vm.iregs, _s32(value)
+
+    def run():
+        regs[d] = value
+        return nxt
+    return run
+
+
+def _constant_d(vm, ops, nxt):
+    d, value = ops
+    fregs, value = vm.fregs, float(value)
+
+    def run():
+        fregs[d] = value
+        return nxt
+    return run
+
+
+_define(_constant, "li", "la")
+_define(_constant_d, "li.d")
+
+
+def _alu(fn: Callable[[int, int], int], imm: bool = False) -> Factory:
+    """Integer ``d = s32(fn(a, b))``; ``imm`` takes b from the operand."""
+    def factory(vm, ops, nxt):
+        d, a, b = ops
+        regs = vm.iregs
+        if imm:
+            def run():
+                value = fn(regs[a], b)
+                regs[d] = ((value + 0x8000_0000) & 0xFFFF_FFFF) - 0x8000_0000
+                return nxt
+        else:
+            def run():
+                value = fn(regs[a], regs[b])
+                regs[d] = ((value + 0x8000_0000) & 0xFFFF_FFFF) - 0x8000_0000
+                return nxt
+        return run
+    return factory
+
+
+def _divtrunc(a: int, b: int) -> int:
+    if b == 0:
+        raise VMError("division by zero")
+    q = abs(a) // abs(b)
+    return q if (a >= 0) == (b >= 0) else -q
+
+
+def _remtrunc(a: int, b: int) -> int:
+    return a - _divtrunc(a, b) * b
+
+
+def _divu(a: int, b: int) -> int:
+    if b & _U32 == 0:
+        raise VMError("division by zero")
+    return (a & _U32) // (b & _U32)
+
+
+def _remu(a: int, b: int) -> int:
+    if b & _U32 == 0:
+        raise VMError("division by zero")
+    return (a & _U32) % (b & _U32)
+
+
+def _shl(a: int, b: int) -> int:
+    return (a & _U32) << (b & 31)
+
+
+def _shr(a: int, b: int) -> int:
+    return (a & _U32) >> (b & 31)
+
+
+def _sra(a: int, b: int) -> int:
+    return a >> (b & 31)
+
+
+_INT_OPS = {
+    "add": operator.add, "sub": operator.sub, "mul": operator.mul,
+    "and": operator.and_, "or": operator.or_, "xor": operator.xor,
+    "shl": _shl, "shr": _shr, "sra": _sra,
+}
+for _name, _fn in _INT_OPS.items():
+    _define(_alu(_fn), f"{_name}.i")
+    _define(_alu(_fn, imm=True), f"{_name}i.i")
+for _name, _fn in (("div", _divtrunc), ("divu", _divu), ("rem", _remtrunc),
+                   ("remu", _remu)):
+    _define(_alu(_fn), f"{_name}.i")
+# Frame macros: ``enter sp,sp,24`` and ``exit sp,sp,24``.
+_define(SEMANTICS["subi.i"], "enter")
+_define(SEMANTICS["addi.i"], "exit")
+
+
+def _fdiv(a: float, b: float) -> float:
+    if b == 0.0:
+        raise VMError("floating division by zero")
+    return a / b
+
+
+def _falu(fn: Callable[[float, float], float]) -> Factory:
+    def factory(vm, ops, nxt):
+        d, a, b = ops
+        fregs = vm.fregs
+
+        def run():
+            fregs[d] = fn(fregs[a], fregs[b])
+            return nxt
+        return run
+    return factory
+
+
+_define(_falu(operator.add), "add.d")
+_define(_falu(operator.sub), "sub.d")
+_define(_falu(operator.mul), "mul.d")
+_define(_falu(_fdiv), "div.d")
+
+
+def _unary(dst_file: str, src_file: str, fn: Callable) -> Factory:
+    """``d = fn(a)`` between the integer ("i") and double ("f") files."""
+    def factory(vm, ops, nxt):
+        d, a = ops
+        dst = vm.fregs if dst_file == "f" else vm.iregs
+        src = vm.fregs if src_file == "f" else vm.iregs
+
+        def run():
+            dst[d] = fn(src[a])
+            return nxt
+        return run
+    return factory
+
+
+def _same(value):
+    return value
+
+
+_define(_unary("i", "i", _same), "mov.i")
+_define(_unary("f", "f", _same), "mov.d")
+_define(_unary("i", "i", lambda a: _s32(-a)), "neg.i")
+_define(_unary("i", "i", lambda a: _s32(~a)), "not.i")
+_define(_unary("i", "i", lambda a: ((a & 0xFF) ^ 0x80) - 0x80), "sext.b")
+_define(_unary("i", "i", lambda a: a & 0xFF), "zext.b")
+_define(_unary("i", "i", lambda a: ((a & 0xFFFF) ^ 0x8000) - 0x8000),
+        "sext.h")
+_define(_unary("i", "i", lambda a: a & 0xFFFF), "zext.h")
+_define(_unary("f", "f", operator.neg), "neg.d")
+_define(_unary("f", "i", float), "cvt.id")
+_define(_unary("f", "i", lambda a: float(a & _U32)), "cvt.ud")
+# Truncation toward zero; the unsigned form lands on the same 32 bits.
+_define(_unary("i", "f", lambda x: _s32(int(x))), "cvt.di", "cvt.du")
+
+
+def _branch(test: Callable[[object, object], bool], imm: bool = False,
+            file: str = "i") -> Factory:
+    """Fused compare-and-branch: returns the target when ``test`` holds."""
+    def factory(vm, ops, nxt):
+        a, b, target = ops
+        regs = vm.fregs if file == "f" else vm.iregs
+        if imm:
+            def run():
+                return target if test(regs[a], b) else nxt
+        else:
+            def run():
+                return target if test(regs[a], regs[b]) else nxt
+        return run
+    return factory
+
+
+_SIGNED = {"beq": operator.eq, "bne": operator.ne, "blt": operator.lt,
+           "ble": operator.le, "bgt": operator.gt, "bge": operator.ge}
+_UNSIGNED = {
+    "bltu": lambda a, b: a & _U32 < b & _U32,
+    "bleu": lambda a, b: a & _U32 <= b & _U32,
+    "bgtu": lambda a, b: a & _U32 > b & _U32,
+    "bgeu": lambda a, b: a & _U32 >= b & _U32,
+}
+for _name, _test in {**_SIGNED, **_UNSIGNED}.items():
+    _define(_branch(_test), f"{_name}.i")
+    _define(_branch(_test, imm=True), f"{_name}i.i")
+for _name, _test in _SIGNED.items():
+    _define(_branch(_test, file="f"), f"{_name}.d")
+
+
+def _jmp(vm, ops, nxt):
+    (target,) = ops
+    return lambda: target
+
+
+def _call(vm, ops, nxt):
+    (address,) = ops
+    index = address - FUNC_ADDR_BASE
+    if not 0 <= index < len(vm._bases):
+        def fault():
+            raise VMError("call target is not a function")
+        return fault
+    regs, entry, ret = vm.iregs, vm._bases[index], vm._return_word(nxt)
+
+    def run():
+        regs[REG_RA] = ret
+        return entry
+    return run
+
+
+def _calli(vm, ops, nxt):
+    (r,) = ops
+    regs, entries, ret = vm.iregs, vm._bases, vm._return_word(nxt)
+    count = len(entries)
+
+    def run():
+        index = (regs[r] & 0xFFFF_FFFF) - FUNC_ADDR_BASE
+        if not 0 <= index < count:
+            raise VMError(f"indirect call to non-function "
+                          f"{index + FUNC_ADDR_BASE:#x}")
+        regs[REG_RA] = ret
+        return entries[index]
+    return run
+
+
+def _rjr(vm, ops, nxt):
+    (r,) = ops
+    regs, landing = vm.iregs, vm._return_index
+
+    def run():
+        target = regs[r] & 0xFFFF_FFFF
+        if target == HALT_ADDR:
+            raise _Halt(_s32(regs[0]))
+        return landing(target)
+    return run
+
+
+def _blkcpy(vm, ops, nxt):
+    d, s, n = ops
+    regs, mem, check = vm.iregs, vm.memory, vm._check
+
+    def run():
+        dst = regs[d] & 0xFFFF_FFFF
+        src = regs[s] & 0xFFFF_FFFF
+        check(dst, n)
+        check(src, n)
+        mem[dst : dst + n] = mem[src : src + n]
+        return nxt
+    return run
+
+
+def _sys(vm, ops, nxt):
+    (number,) = ops
+
+    def run():
+        raise _Syscall(number, nxt)
+    return run
+
+
+def _hlt(vm, ops, nxt):
+    regs = vm.iregs
+
+    def run():
+        raise _Halt(_s32(regs[0]))
+    return run
+
+
+_define(_jmp, "jmp")
+_define(_call, "call")
+_define(_calli, "calli")
+_define(_rjr, "rjr")
+_define(_blkcpy, "blkcpy")
+_define(_sys, "sys")
+_define(_hlt, "hlt")
+
+
+#: Mnemonic -> (position, kind) of each operand :meth:`Interpreter._compile`
+#: must resolve (labels, symbols) or check (double registers).
+_LINKED: Dict[str, Tuple[Tuple[int, Operand], ...]] = {
+    name: tuple((i, kind) for i, kind in enumerate(spec.signature)
+                if kind in (Operand.LABEL, Operand.SYM, Operand.FREG))
+    for name, spec in SPEC.items()
+}
+
+
+def _fell_off(name: str) -> Op:
+    def run():
+        raise VMError(f"fell off the end of {name}")
+    return run
 
 
 class Interpreter:
@@ -64,7 +461,6 @@ class Interpreter:
         memory_size: int = 1 << 20,
         max_steps: int = 50_000_000,
         stdin: str = "",
-        count_opcodes: bool = False,
     ) -> None:
         self.program = program
         self.memory = bytearray(memory_size)
@@ -76,12 +472,10 @@ class Interpreter:
         self._stdin = stdin
         self._stdin_pos = 0
         self.exit_code: Optional[int] = None
-        self.count_opcodes = count_opcodes
-        self.opcode_counts: Dict[str, int] = {}
         self._func_index = {fn.name: i for i, fn in enumerate(program.functions)}
         self.symbols: Dict[str, int] = {}
         self._load_globals()
-        self._resolved = [self._resolve_function(fn) for fn in program.functions]
+        self._link()
 
     # -- loading -----------------------------------------------------------
 
@@ -120,29 +514,84 @@ class Interpreter:
                         target.to_bytes(4, "little")
                     )
 
-    def _resolve_function(self, fn: VMFunction):
-        """Pre-resolve labels and symbols to numbers for fast dispatch."""
-        resolved = []
-        for instr in fn.code:
-            ops: List[object] = []
-            for kind, value in zip(instr.spec.signature, instr.operands):
+    def _link(self) -> None:
+        self._layout([len(fn.code) for fn in self.program.functions])
+
+    def _layout(self, lengths: Sequence[int]) -> None:
+        """Build the dispatch table: compiled ops (``_code``) and the VM
+        steps each one counts (``_sizes``).  Function ``f`` owns indices
+        ``_bases[f]`` to ``_bases[f] + lengths[f]``; the last one faults
+        ("fell off the end").  Entries start uncompiled."""
+        self._bases: List[int] = []
+        self._code: List[Op] = []
+        for func, length in enumerate(lengths):
+            self._bases.append(len(self._code))
+            self._code.extend([_miss] * length)
+            self._code.append(_fell_off(self.program.functions[func].name))
+        self._lengths = list(lengths)
+        self._sizes = [0] * len(self._code)
+
+    def _locate(self, index: int) -> Tuple[int, int]:
+        """(function, position within it) of table ``index``."""
+        func = bisect_right(self._bases, index) - 1
+        return func, index - self._bases[func]
+
+    def _fill(self, index: int) -> None:
+        """Compile the instruction at table ``index`` on its first visit,
+        so memory goes only to code that runs."""
+        func, position = self._locate(index)
+        instr = self.program.functions[func].code[position]
+        self._code[index] = self._compile(instr, func, position + 1)
+        self._sizes[index] = 1
+
+    def _compile(self, instr: Instr, func: int, nxt: int) -> Op:
+        """Bind ``instr``'s semantics to its resolved operands; ``nxt`` is
+        the fall-through position within function ``func``."""
+        ops = instr.operands
+        linked = _LINKED[instr.name]
+        if linked:
+            resolved = list(ops)
+            for i, kind in linked:
+                value = ops[i]
                 if kind is Operand.LABEL:
-                    assert isinstance(value, str)
-                    if value not in fn.labels:
-                        raise VMError(f"undefined label {value!r} in {fn.name}")
-                    ops.append(fn.labels[value])
+                    resolved[i] = self._label(func, value)
                 elif kind is Operand.SYM:
-                    assert isinstance(value, str)
-                    if value in self._func_index:
-                        ops.append(("func", self._func_index[value]))
-                    elif value in self.symbols:
-                        ops.append(("data", self.symbols[value]))
-                    else:
-                        raise VMError(f"undefined symbol {value!r} in {fn.name}")
-                else:
-                    ops.append(value)
-            resolved.append((instr.name, tuple(ops)))
-        return resolved
+                    resolved[i] = self._symbol(func, value)
+                elif not 0 <= value < NUM_FREGS:
+                    raise VMError(f"{instr.name}: no double register {value}")
+            ops = tuple(resolved)
+        return SEMANTICS[instr.name](self, ops, self._bases[func] + nxt)
+
+    def _label(self, func: int, label) -> int:
+        fn = self.program.functions[func]
+        if label not in fn.labels:
+            raise VMError(f"undefined label {label!r} in {fn.name}")
+        return self._landing(func, fn.labels[label])
+
+    def _symbol(self, func: int, name) -> int:
+        address = self.symbols.get(name)
+        if address is None:
+            raise VMError(f"undefined symbol {name!r} in "
+                          f"{self.program.functions[func].name}")
+        return address
+
+    def _landing(self, func: int, position: int) -> int:
+        """Table index of a control transfer to ``position`` in ``func``;
+        past the end it lands on the function's fault entry."""
+        return self._bases[func] + min(position, self._lengths[func])
+
+    def _return_word(self, index: int) -> int:
+        """The ``ra`` value of a call that returns to table ``index``."""
+        func, position = self._locate(index)
+        return _s32(RET_ADDR_BASE | (func << 16) | position)
+
+    def _return_index(self, target: int) -> int:
+        """Table index named by a return address (``rjr``)."""
+        func = (target - RET_ADDR_BASE) >> 16
+        if (not RET_ADDR_BASE <= target < RET_ADDR_BASE + 0x0FFF_0000
+                or func >= len(self._bases)):
+            raise VMError(f"return to non-return address {target:#x}")
+        return self._landing(func, target & 0xFFFF)
 
     # -- memory helpers ------------------------------------------------------
 
@@ -163,10 +612,6 @@ class Interpreter:
     def load_double(self, address: int) -> float:
         self._check(address, 8)
         return struct.unpack("<d", self.memory[address : address + 8])[0]
-
-    def store_double(self, address: int, value: float) -> None:
-        self._check(address, 8)
-        self.memory[address : address + 8] = struct.pack("<d", value)
 
     def read_cstring(self, address: int) -> str:
         out = []
@@ -251,341 +696,55 @@ class Interpreter:
             self.store(sp - total + 4 * i, 4, arg)
         self.iregs[REG_SP] = sp
         self.iregs[REG_RA] = _s32(HALT_ADDR)
-        pc = 0
-        exit_code = self._loop(func, pc)
+        try:
+            exit_code = self._loop(self._bases[func])
+        finally:
+            # Compiled ops close over this interpreter (``rjr`` binds
+            # ``_return_index``), a cycle that would keep the memory image
+            # alive until the cycle collector runs.  A fresh, uncompiled
+            # table breaks it; a later run recompiles on first visit.
+            self._link()
         return ExecutionResult(
             exit_code=exit_code,
             output="".join(self.output),
             steps=self.steps,
-            opcode_counts=dict(self.opcode_counts),
         )
 
-    def _loop(self, func: int, pc: int) -> int:
-        code = self._resolved[func]
-        while True:
-            if self.exit_code is not None:
-                return self.exit_code
-            if pc >= len(code):
-                raise VMError(
-                    f"fell off the end of {self.program.functions[func].name}")
-            name, ops = code[pc]
-            pc += 1
-            new_func, pc, halt = self._exec(name, ops, func, pc)
-            if halt is not None:
-                return halt
-            if new_func != func:
-                func = new_func
-                code = self._resolved[func]
+    def _loop(self, pc: int) -> int:
+        """Dispatch from table index ``pc`` until the program halts.
 
-    def _exec(self, name: str, ops, func: int, pc: int):
-        """Execute one instruction; returns (func, pc, halt_value_or_None).
-
-        ``pc`` is the fall-through continuation (already advanced); control
-        transfers overwrite it.  Shared by the plain interpreter and the
-        BRISC in-place interpreter.
+        The step count lives in a local; it is stored back to
+        ``self.steps`` before every syscall (``clock`` reads it) and on
+        every way out, so faults and results see the exact count.
         """
-        regs = self.iregs
-        fregs = self.fregs
-        self.steps += 1
-        if self.steps > self.max_steps:
-            raise VMError(f"exceeded {self.max_steps} steps")
-        if self.count_opcodes:
-            counts = self.opcode_counts
-            counts[name] = counts.get(name, 0) + 1
-        if True:
-            # --- memory ---
-            if name == "ld.iw":
-                regs[ops[0]] = _s32(self.load(_u32(regs[ops[2]]) + ops[1], 4, True))
-            elif name == "st.iw":
-                self.store(_u32(regs[ops[2]]) + ops[1], 4, regs[ops[0]])
-            elif name == "ld.ib":
-                regs[ops[0]] = self.load(_u32(regs[ops[2]]) + ops[1], 1, True)
-            elif name == "ld.iub":
-                regs[ops[0]] = self.load(_u32(regs[ops[2]]) + ops[1], 1, False)
-            elif name == "ld.ih":
-                regs[ops[0]] = self.load(_u32(regs[ops[2]]) + ops[1], 2, True)
-            elif name == "ld.iuh":
-                regs[ops[0]] = self.load(_u32(regs[ops[2]]) + ops[1], 2, False)
-            elif name == "st.ib":
-                self.store(_u32(regs[ops[2]]) + ops[1], 1, regs[ops[0]])
-            elif name == "st.ih":
-                self.store(_u32(regs[ops[2]]) + ops[1], 2, regs[ops[0]])
-            elif name == "ld.d":
-                fregs[ops[0]] = self.load_double(_u32(regs[ops[2]]) + ops[1])
-            elif name == "st.d":
-                self.store_double(_u32(regs[ops[2]]) + ops[1], fregs[ops[0]])
-            elif name == "spill.i":
-                self.store(_u32(regs[ops[2]]) + ops[1], 4, regs[ops[0]])
-            elif name == "reload.i":
-                regs[ops[0]] = _s32(self.load(_u32(regs[ops[2]]) + ops[1], 4, True))
-            elif name == "ldx.iw":
-                regs[ops[0]] = _s32(self.load(_u32(regs[ops[1]]), 4, True))
-            elif name == "stx.iw":
-                self.store(_u32(regs[ops[1]]), 4, regs[ops[0]])
-            elif name == "ldx.ib":
-                regs[ops[0]] = self.load(_u32(regs[ops[1]]), 1, True)
-            elif name == "ldx.iub":
-                regs[ops[0]] = self.load(_u32(regs[ops[1]]), 1, False)
-            elif name == "ldx.ih":
-                regs[ops[0]] = self.load(_u32(regs[ops[1]]), 2, True)
-            elif name == "ldx.iuh":
-                regs[ops[0]] = self.load(_u32(regs[ops[1]]), 2, False)
-            elif name == "stx.ib":
-                self.store(_u32(regs[ops[1]]), 1, regs[ops[0]])
-            elif name == "stx.ih":
-                self.store(_u32(regs[ops[1]]), 2, regs[ops[0]])
-            elif name == "ldx.d":
-                fregs[ops[0]] = self.load_double(_u32(regs[ops[1]]))
-            elif name == "stx.d":
-                self.store_double(_u32(regs[ops[1]]), fregs[ops[0]])
-
-            # --- moves ---
-            elif name == "mov.i":
-                regs[ops[0]] = regs[ops[1]]
-            elif name == "li":
-                regs[ops[0]] = _s32(ops[1])
-            elif name == "la":
-                kind, value = ops[1]
-                regs[ops[0]] = _s32(FUNC_ADDR_BASE + value if kind == "func"
-                                    else value)
-            elif name == "mov.d":
-                fregs[ops[0]] = fregs[ops[1]]
-            elif name == "li.d":
-                fregs[ops[0]] = float(ops[1])
-
-            # --- integer alu ---
-            elif name == "add.i":
-                regs[ops[0]] = _s32(regs[ops[1]] + regs[ops[2]])
-            elif name == "sub.i":
-                regs[ops[0]] = _s32(regs[ops[1]] - regs[ops[2]])
-            elif name == "mul.i":
-                regs[ops[0]] = _s32(regs[ops[1]] * regs[ops[2]])
-            elif name == "div.i":
-                regs[ops[0]] = _s32(_divtrunc(regs[ops[1]], regs[ops[2]]))
-            elif name == "divu.i":
-                b = _u32(regs[ops[2]])
-                if b == 0:
-                    raise VMError("division by zero")
-                regs[ops[0]] = _s32(_u32(regs[ops[1]]) // b)
-            elif name == "rem.i":
-                regs[ops[0]] = _s32(_remtrunc(regs[ops[1]], regs[ops[2]]))
-            elif name == "remu.i":
-                b = _u32(regs[ops[2]])
-                if b == 0:
-                    raise VMError("division by zero")
-                regs[ops[0]] = _s32(_u32(regs[ops[1]]) % b)
-            elif name == "and.i":
-                regs[ops[0]] = _s32(regs[ops[1]] & regs[ops[2]])
-            elif name == "or.i":
-                regs[ops[0]] = _s32(regs[ops[1]] | regs[ops[2]])
-            elif name == "xor.i":
-                regs[ops[0]] = _s32(regs[ops[1]] ^ regs[ops[2]])
-            elif name == "shl.i":
-                regs[ops[0]] = _s32(_u32(regs[ops[1]]) << (regs[ops[2]] & 31))
-            elif name == "shr.i":
-                regs[ops[0]] = _s32(_u32(regs[ops[1]]) >> (regs[ops[2]] & 31))
-            elif name == "sra.i":
-                regs[ops[0]] = _s32(regs[ops[1]] >> (regs[ops[2]] & 31))
-            elif name == "neg.i":
-                regs[ops[0]] = _s32(-regs[ops[1]])
-            elif name == "not.i":
-                regs[ops[0]] = _s32(~regs[ops[1]])
-
-            # --- immediate alu ---
-            elif name == "addi.i":
-                regs[ops[0]] = _s32(regs[ops[1]] + ops[2])
-            elif name == "subi.i":
-                regs[ops[0]] = _s32(regs[ops[1]] - ops[2])
-            elif name == "muli.i":
-                regs[ops[0]] = _s32(regs[ops[1]] * ops[2])
-            elif name == "andi.i":
-                regs[ops[0]] = _s32(regs[ops[1]] & ops[2])
-            elif name == "ori.i":
-                regs[ops[0]] = _s32(regs[ops[1]] | ops[2])
-            elif name == "xori.i":
-                regs[ops[0]] = _s32(regs[ops[1]] ^ ops[2])
-            elif name == "shli.i":
-                regs[ops[0]] = _s32(_u32(regs[ops[1]]) << (ops[2] & 31))
-            elif name == "shri.i":
-                regs[ops[0]] = _s32(_u32(regs[ops[1]]) >> (ops[2] & 31))
-            elif name == "srai.i":
-                regs[ops[0]] = _s32(regs[ops[1]] >> (ops[2] & 31))
-
-            # --- extensions ---
-            elif name == "sext.b":
-                regs[ops[0]] = _s32((regs[ops[1]] & 0xFF) - 0x100
-                                    if regs[ops[1]] & 0x80 else regs[ops[1]] & 0xFF)
-            elif name == "zext.b":
-                regs[ops[0]] = regs[ops[1]] & 0xFF
-            elif name == "sext.h":
-                regs[ops[0]] = _s32((regs[ops[1]] & 0xFFFF) - 0x1_0000
-                                    if regs[ops[1]] & 0x8000 else regs[ops[1]] & 0xFFFF)
-            elif name == "zext.h":
-                regs[ops[0]] = regs[ops[1]] & 0xFFFF
-
-            # --- double alu / conversions ---
-            elif name == "add.d":
-                fregs[ops[0]] = fregs[ops[1]] + fregs[ops[2]]
-            elif name == "sub.d":
-                fregs[ops[0]] = fregs[ops[1]] - fregs[ops[2]]
-            elif name == "mul.d":
-                fregs[ops[0]] = fregs[ops[1]] * fregs[ops[2]]
-            elif name == "div.d":
-                if fregs[ops[2]] == 0.0:
-                    raise VMError("floating division by zero")
-                fregs[ops[0]] = fregs[ops[1]] / fregs[ops[2]]
-            elif name == "neg.d":
-                fregs[ops[0]] = -fregs[ops[1]]
-            elif name == "cvt.id":
-                fregs[ops[0]] = float(regs[ops[1]])
-            elif name == "cvt.ud":
-                fregs[ops[0]] = float(_u32(regs[ops[1]]))
-            elif name == "cvt.di":
-                fregs_val = fregs[ops[1]]
-                regs[ops[0]] = _s32(int(fregs_val))
-            elif name == "cvt.du":
-                regs[ops[0]] = _s32(int(fregs[ops[1]]) & _U32)
-
-            # --- branches ---
-            elif name == "beq.i":
-                if regs[ops[0]] == regs[ops[1]]:
-                    pc = ops[2]
-            elif name == "bne.i":
-                if regs[ops[0]] != regs[ops[1]]:
-                    pc = ops[2]
-            elif name == "blt.i":
-                if regs[ops[0]] < regs[ops[1]]:
-                    pc = ops[2]
-            elif name == "ble.i":
-                if regs[ops[0]] <= regs[ops[1]]:
-                    pc = ops[2]
-            elif name == "bgt.i":
-                if regs[ops[0]] > regs[ops[1]]:
-                    pc = ops[2]
-            elif name == "bge.i":
-                if regs[ops[0]] >= regs[ops[1]]:
-                    pc = ops[2]
-            elif name == "bltu.i":
-                if _u32(regs[ops[0]]) < _u32(regs[ops[1]]):
-                    pc = ops[2]
-            elif name == "bleu.i":
-                if _u32(regs[ops[0]]) <= _u32(regs[ops[1]]):
-                    pc = ops[2]
-            elif name == "bgtu.i":
-                if _u32(regs[ops[0]]) > _u32(regs[ops[1]]):
-                    pc = ops[2]
-            elif name == "bgeu.i":
-                if _u32(regs[ops[0]]) >= _u32(regs[ops[1]]):
-                    pc = ops[2]
-            elif name == "beqi.i":
-                if regs[ops[0]] == ops[1]:
-                    pc = ops[2]
-            elif name == "bnei.i":
-                if regs[ops[0]] != ops[1]:
-                    pc = ops[2]
-            elif name == "blti.i":
-                if regs[ops[0]] < ops[1]:
-                    pc = ops[2]
-            elif name == "blei.i":
-                if regs[ops[0]] <= ops[1]:
-                    pc = ops[2]
-            elif name == "bgti.i":
-                if regs[ops[0]] > ops[1]:
-                    pc = ops[2]
-            elif name == "bgei.i":
-                if regs[ops[0]] >= ops[1]:
-                    pc = ops[2]
-            elif name == "bltui.i":
-                if _u32(regs[ops[0]]) < _u32(ops[1]):
-                    pc = ops[2]
-            elif name == "bleui.i":
-                if _u32(regs[ops[0]]) <= _u32(ops[1]):
-                    pc = ops[2]
-            elif name == "bgtui.i":
-                if _u32(regs[ops[0]]) > _u32(ops[1]):
-                    pc = ops[2]
-            elif name == "bgeui.i":
-                if _u32(regs[ops[0]]) >= _u32(ops[1]):
-                    pc = ops[2]
-            elif name == "beq.d":
-                if fregs[ops[0]] == fregs[ops[1]]:
-                    pc = ops[2]
-            elif name == "bne.d":
-                if fregs[ops[0]] != fregs[ops[1]]:
-                    pc = ops[2]
-            elif name == "blt.d":
-                if fregs[ops[0]] < fregs[ops[1]]:
-                    pc = ops[2]
-            elif name == "ble.d":
-                if fregs[ops[0]] <= fregs[ops[1]]:
-                    pc = ops[2]
-            elif name == "bgt.d":
-                if fregs[ops[0]] > fregs[ops[1]]:
-                    pc = ops[2]
-            elif name == "bge.d":
-                if fregs[ops[0]] >= fregs[ops[1]]:
-                    pc = ops[2]
-
-            # --- control flow ---
-            elif name == "jmp":
-                pc = ops[0]
-            elif name == "call":
-                kind, index = ops[0]
-                if kind != "func":
-                    raise VMError("call target is not a function")
-                regs[REG_RA] = _s32(RET_ADDR_BASE | (func << 16) | pc)
-                func = index
-                pc = 0
-            elif name == "calli":
-                target = _u32(regs[ops[0]])
-                if not FUNC_ADDR_BASE <= target < FUNC_ADDR_BASE + len(self.program.functions):
-                    raise VMError(f"indirect call to non-function {target:#x}")
-                regs[REG_RA] = _s32(RET_ADDR_BASE | (func << 16) | pc)
-                func = target - FUNC_ADDR_BASE
-                pc = 0
-            elif name == "rjr":
-                target = _u32(regs[ops[0]])
-                if target == HALT_ADDR:
-                    return func, pc, _s32(regs[0])
-                if not RET_ADDR_BASE <= target < RET_ADDR_BASE + 0x0FFF_0000:
-                    raise VMError(f"return to non-return address {target:#x}")
-                func = (target - RET_ADDR_BASE) >> 16
-                pc = target & 0xFFFF
-
-            # --- frame ---
-            elif name == "enter":
-                regs[ops[0]] = _s32(regs[ops[1]] - ops[2])
-            elif name == "exit":
-                regs[ops[0]] = _s32(regs[ops[1]] + ops[2])
-
-            # --- macros ---
-            elif name == "blkcpy":
-                dst = _u32(regs[ops[0]])
-                src = _u32(regs[ops[1]])
-                n = ops[2]
-                self._check(dst, n)
-                self._check(src, n)
-                self.memory[dst : dst + n] = bytes(self.memory[src : src + n])
-            elif name == "sys":
-                self._syscall(ops[0])
-                if self.exit_code is not None:
-                    return func, pc, self.exit_code
-            elif name == "hlt":
-                return func, pc, _s32(regs[0])
-            else:
-                raise VMError(f"unimplemented instruction {name}")
-        return func, pc, None
-
-
-def _divtrunc(a: int, b: int) -> int:
-    if b == 0:
-        raise VMError("division by zero")
-    q = abs(a) // abs(b)
-    return q if (a >= 0) == (b >= 0) else -q
-
-
-def _remtrunc(a: int, b: int) -> int:
-    return a - _divtrunc(a, b) * b
+        if self.exit_code is not None:
+            return self.exit_code
+        code, sizes = self._code, self._sizes
+        limit = self.max_steps
+        steps = self.steps
+        try:
+            while True:
+                try:
+                    while True:
+                        steps += sizes[pc]
+                        if steps > limit:
+                            # The instruction that overran is step limit+1,
+                            # wherever it sits inside the entry.
+                            steps = limit + 1
+                            raise VMError(f"exceeded {limit} steps")
+                        pc = code[pc]()
+                except _Syscall as trap:
+                    self.steps = steps
+                    self._syscall(trap.number)
+                    if self.exit_code is not None:
+                        return self.exit_code
+                    pc = trap.resume
+                except _Miss:
+                    self._fill(pc)
+        except _Halt as halt:
+            return halt.value
+        finally:
+            self.steps = steps
 
 
 def run_program(
@@ -594,9 +753,7 @@ def run_program(
     args: Tuple[int, ...] = (),
     max_steps: int = 50_000_000,
     stdin: str = "",
-    count_opcodes: bool = False,
 ) -> ExecutionResult:
     """Convenience wrapper: build an interpreter and run to completion."""
-    interp = Interpreter(program, max_steps=max_steps, stdin=stdin,
-                         count_opcodes=count_opcodes)
+    interp = Interpreter(program, max_steps=max_steps, stdin=stdin)
     return interp.run(entry, args)

@@ -110,10 +110,11 @@ class TestRandomAccess:
         names = symbol_names(image)
         for fn in image.functions:
             for offset in sorted(fn.bb_offsets):
-                pattern, instrs, nxt = decode_slot(image, fn, offset,
-                                                   CTX_BB, names)
+                pattern, instrs, nxt, pid = decode_slot(image, fn, offset,
+                                                        CTX_BB, names)
                 assert instrs
                 assert nxt > offset
+                assert image.patterns[pid] is pattern
 
     def test_function_entries_decodable(self):
         from repro.brisc.encode import decode_slot, symbol_names
@@ -122,7 +123,8 @@ class TestRandomAccess:
         image = parse_image(cp.image.blob)
         names = symbol_names(image)
         for fn in image.functions:
-            pattern, instrs, _ = decode_slot(image, fn, 0, CTX_ENTRY, names)
+            pattern, instrs, _, _ = decode_slot(image, fn, 0, CTX_ENTRY,
+                                                names)
             assert instrs[0].name == "enter"
 
 
