@@ -5,9 +5,10 @@ The paper's design-space section places arithmetic coding at the
 bit per symbol but forces decompression before execution (the authors used
 it per-function).  This module implements a classic 32-bit range arithmetic
 coder with adaptive frequency models so the design-space benchmark
-(`benchmarks/bench_design_space.py`) can place that extreme on the curve,
-and so the wire container can offer it as a ratio-over-speed codec
-(``pack_streams(..., codec="arith")``).
+(`benchmarks/bench_design_space.py`) can place that extreme on the curve.
+It is not a wire codec: on the suite units the whole arith-coded wire
+blob came out larger than the deflated one, so the container ships
+deflate only.
 
 The coder follows Witten, Neal & Cleary (CACM 1987), the paper's citation.
 The streaming classes (:class:`AdaptiveModel`, :class:`ArithmeticEncoder`,

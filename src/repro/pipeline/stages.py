@@ -122,10 +122,8 @@ class WireStage(Stage):
 
     def config_fragment(self, config):
         fragment = f"compress={config.wire_compress}"
-        # Only non-default container/codec settings enter the key, so
-        # existing v2 deflate cache entries stay valid.
-        if config.wire_codec != "deflate":
-            fragment += f";codec={config.wire_codec}"
+        # Only non-default container settings enter the key, so existing
+        # v2 cache entries stay valid.
         if config.wire_container != 2:
             fragment += (f";container={config.wire_container}"
                          f";chunk={config.chunk_target_bytes}")
@@ -145,14 +143,12 @@ class WireStage(Stage):
                 "chunks": len(index.chunks),
                 "index_bytes": index.header_bytes,
             }
-        blob = encode_module(value, compress=config.wire_compress,
-                             codec=config.wire_codec)
+        blob = encode_module(value, compress=config.wire_compress)
         streams = unpack_streams(blob[4:])
         code_streams = {k: v for k, v in streams.items()
                         if k not in ("meta", "symtab")}
         code_size = 4 + len(pack_streams(code_streams,
-                                         compress=config.wire_compress,
-                                         codec=config.wire_codec))
+                                         compress=config.wire_compress))
         return blob, len(blob), {"code_size": code_size,
                                  "streams": len(streams)}
 

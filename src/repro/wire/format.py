@@ -431,21 +431,14 @@ def _pack_code_streams(
     return streams
 
 
-def encode_module(module: IRModule, compress: bool = True,
-                  codec: str = "deflate") -> bytes:
-    """Encode ``module`` into the wire format (WIR2: per-stream CRC32).
-
-    ``codec`` picks the per-stream entropy coder; the flag byte each
-    stream carries makes the choice self-describing, so decoding needs
-    no matching knob.
-    """
+def encode_module(module: IRModule, compress: bool = True) -> bytes:
+    """Encode ``module`` into the wire format (WIR2: per-stream CRC32)."""
     pattern_stream, literal_streams, tree_counts, normalized = (
         _collect_streams(module)
     )
     streams = _pack_code_streams(pattern_stream, literal_streams)
     streams["meta"] = _pack_meta(normalized, tree_counts)
-    return _MAGIC + pack_streams(streams, compress=compress, checksums=True,
-                                 codec=codec)
+    return _MAGIC + pack_streams(streams, compress=compress, checksums=True)
 
 
 def _container_streams(
@@ -556,26 +549,24 @@ def _decode_trees(
 def wire_size(module: IRModule, code_only: bool = False) -> int:
     """Size in bytes of the wire encoding of ``module``.
 
-    With ``code_only`` the meta stream (global data images, symbol names,
-    function headers) is excluded — the paper "compresses only code
-    segments", and its conventional-code baseline carries no symbol table
-    either, so Table-1 comparisons use this metric.
+    With ``code_only`` the meta and symbol-table streams (global data
+    images, symbol names, function headers) and the per-stream CRCs are
+    excluded — the paper "compresses only code segments", and its
+    conventional-code baseline carries no symbol table either, so
+    Table-1 comparisons use this metric.  It is the same figure as the
+    wire stage's ``meta["code_size"]``.
     """
     blob = encode_module(module)
     if not code_only:
         return len(blob)
     streams = unpack_streams(blob[4:])
     without_meta = pack_streams(
-        {k: v for k, v in streams.items() if k not in ("meta", "symtab")},
-        checksums=True)
+        {k: v for k, v in streams.items() if k not in ("meta", "symtab")})
     return 4 + len(without_meta)
 
 
 def stream_breakdown(module: IRModule) -> Dict[str, int]:
     """Per-stream compressed sizes (for size-analysis reports)."""
-    pattern_stream, literal_streams, tree_counts, normalized = (
-        _collect_streams(module)
-    )
     blob = encode_module(module)
     streams = unpack_streams(blob[4:])
     from ..compress import deflate

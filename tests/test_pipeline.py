@@ -24,7 +24,7 @@ from repro.pipeline import (
     MemoryCache, PipelineConfig, STAGE_NAMES, Toolchain, resolve_stages,
     vm_code_bytes,
 )
-from repro.pipeline.stages import BriscStage
+from repro.pipeline.stages import BriscStage, WireStage
 from repro.wire import encode_module
 
 SMALL = """
@@ -102,25 +102,10 @@ def test_brisc_config_fragment_is_pinned():
         "k=20;abundant=False;passes=40;journal=1"
 
 
-def test_wire_codec_knob_changes_key_and_roundtrips():
-    """``wire_codec="arith"`` is the ratio-over-speed knob: it re-keys
-    (and re-runs) the wire stage, and the coded blob decodes back to the
-    same module because the codec flag rides with each stream."""
-    from repro.wire import decode_module
-
-    source = suite_source("wc")  # large enough for both codecs to engage
-    tc = Toolchain()
-    base = tc.compile(source, name="wc", stages=("wire",))
-    config = tc.config.with_wire_codec("arith")
-    coded = tc.compile(source, name="wc", stages=("wire",), config=config)
-    assert not coded.artifact("wire").from_cache
-    assert coded.wire_blob != base.wire_blob
-    assert dump_module(decode_module(coded.wire_blob)) == \
-        dump_module(decode_module(base.wire_blob))
-    # The default codec spells its fragment the same as before the knob
-    # existed, so pre-existing deflate keys (and caches) are untouched.
-    again = tc.compile(source, name="wc", stages=("wire",))
-    assert again.artifact("wire").from_cache
+def test_wire_config_fragment_is_pinned():
+    """The wire stage's default cache-key fragment: existing caches and
+    ``tables`` state files key on it."""
+    assert WireStage().config_fragment(PipelineConfig()) == "compress=True"
 
 
 def test_with_brisc_keeps_unrelated_knobs():

@@ -4,8 +4,10 @@ from hypothesis import given, strategies as st
 
 from repro.cfront import compile_to_ast
 from repro.compress.streams import unpack_streams
+from repro.corpus import suite_source
 from repro.corpus.samples import SAMPLES
 from repro.ir import lower_unit
+from repro.pipeline import Toolchain
 from repro.wire import encode_module, wire_size
 from repro.wire.format import (
     _pack_float_novels, _pack_int_novels, _pack_pattern_novels,
@@ -89,6 +91,15 @@ class TestSizeMetrics:
     def test_code_only_still_positive(self):
         mod = lower("int main(void) { return 0; }")
         assert wire_size(mod, code_only=True) > 0
+
+    def test_code_only_matches_the_wire_stage_code_size(self):
+        """Table 1 reads the wire stage's ``code_size``; ``wire_size``
+        must report the same figure, not one with per-stream CRCs."""
+        source = suite_source("wc")
+        result = Toolchain().compile(source, name="wc", stages=("wire",))
+        mod = lower(source, "wc")
+        assert wire_size(mod, code_only=True) == \
+            result.artifact("wire").meta["code_size"]
 
     def test_bigger_program_bigger_wire(self):
         small = lower("int main(void) { return 0; }")
