@@ -3,7 +3,7 @@
 Compiling the three suite units cold through every compressed format is
 dominated by the BRISC stage's greedy dictionary construction.  This
 bench builds the corpus from source through a fresh (memory-cache)
-toolchain and lands the cold row in ``pipeline_stats.txt``.
+toolchain and writes the cold row to ``corpus_build.txt``.
 
 The PR 5 baseline row is the same cold measurement taken with the
 pre-pruning builder (commit 416ff87) on the host that wrote the results
@@ -24,7 +24,7 @@ PR5_BRISC_SECONDS = 89.7
 UNITS = ("wc", "lcc", "gcc")
 
 
-def test_corpus_build_timings(results_dir, corpus_timings, fold_stage_stats):
+def test_corpus_build_timings(results_dir):
     from repro.corpus import suite_source
     from repro.pipeline import Toolchain
 
@@ -36,17 +36,12 @@ def test_corpus_build_timings(results_dir, corpus_timings, fold_stage_stats):
     wall = time.perf_counter() - t0
     stages = tc.stats()["stages"]
     brisc = stages["brisc"]["seconds"]
-    # The build went through a private toolchain; fold its stage stats
-    # into the session report so pipeline_stats.txt shows the stages this
-    # bench demonstrably ran.
-    fold_stage_stats(stages)
 
     rows = [
         ("cold, PR 5 builder (416ff87)", PR5_BRISC_SECONDS,
          PR5_BRISC_SECONDS, len(UNITS)),
         ("cold", wall, brisc, len(UNITS)),
     ]
-    corpus_timings.extend(rows)
     save_table(results_dir, "corpus_build", render_table(
         ["corpus build", "seconds", "brisc s", "units"],
         [[v, f"{w:8.2f}", f"{b:8.2f}", str(u)] for v, w, b, u in rows],

@@ -199,35 +199,13 @@ def cmd_verify(args) -> int:
     With ``--function NAME`` only the chunks covering that function are
     decoded, so sparse containers produced by ``fetch`` verify cleanly.
     """
-    from .brisc import decode_image
+    from .container import verify
     from .errors import DecodeError, UnsupportedFormatError
-    from .wire import decode_module
 
     with open(args.file, "rb") as f:
         blob = f.read()
-    function = getattr(args, "function", None)
     try:
-        if blob[:3] == b"WIR":
-            if function:
-                from .wire import decode_function
-
-                fn = decode_function(blob, function)
-                detail = f"wire function {fn.name!r}"
-            else:
-                module = decode_module(blob)
-                detail = f"wire module {module.name!r}"
-        elif blob[:3] == b"BRI":
-            if function:
-                from .brisc.encode import decode_function
-
-                fn = decode_function(blob, function)
-                detail = f"BRISC function {fn.name!r}"
-            else:
-                program = decode_image(blob)
-                detail = f"BRISC image, {len(program.functions)} functions"
-        else:
-            raise UnsupportedFormatError(
-                f"unrecognized container magic {blob[:4]!r}")
+        detail = verify(blob, getattr(args, "function", None) or None)
     except UnsupportedFormatError as exc:
         print(f"{args.file}: unsupported: {exc}", file=sys.stderr)
         return 2
@@ -261,11 +239,8 @@ def cmd_fuzz(args) -> int:
     from .corpus import get_sample, suite_source
 
     toolchain = _toolchain(args)
-    stages = tuple(sorted({f.rstrip("3") for f in formats}))
-    config = toolchain.config.with_container(
-        wire=3 if "wire3" in formats else None,
-        brisc=3 if "brisc3" in formats else None,
-        chunk_bytes=args.chunk_bytes)
+    decoders = {"wire": (decode_module, dump_module),
+                "brisc": (decode_image, None)}
     reports = []
     for unit in units:
         try:
@@ -276,33 +251,25 @@ def cmd_fuzz(args) -> int:
             except KeyError:
                 print(f"error: unknown corpus unit {unit!r}", file=sys.stderr)
                 return 2
-        res = toolchain.compile(source, name=unit, stages=stages,
-                                config=config)
-        if "wire" in formats or "wire3" in formats:
-            suffix = "wire3" if "wire3" in formats else "wire"
+        for fmt in formats:
+            stage = fmt.rstrip("3")
+            version = 3 if fmt.endswith("3") else 2
+            config = toolchain.config.with_container(
+                wire=version, brisc=version, chunk_bytes=args.chunk_bytes)
+            res = toolchain.compile(source, name=unit, stages=(stage,),
+                                    config=config)
+            blob = res.wire_blob if stage == "wire" else res.brisc.image.blob
+            decode, canonical = decoders[stage]
             reports.append(fuzz_decoder(
-                res.wire_blob, decode_module,
-                target=f"{unit}.{suffix}", mutations=args.mutations,
-                seed=args.seed, deadline=args.deadline,
-                canonical=dump_module))
+                blob, decode, target=f"{unit}.{fmt}",
+                mutations=args.mutations, seed=args.seed,
+                deadline=args.deadline, canonical=canonical))
             print(reports[-1].summary())
-        if "brisc" in formats or "brisc3" in formats:
-            suffix = "brisc3" if "brisc3" in formats else "brisc"
-            reports.append(fuzz_decoder(
-                res.brisc.image.blob, decode_image,
-                target=f"{unit}.{suffix}", mutations=args.mutations,
-                seed=args.seed, deadline=args.deadline))
-            print(reports[-1].summary())
-        if "wire3" in formats:
-            reports.append(fuzz_chunked_container(
-                res.wire_blob, target=f"{unit}.wire3[chunks]",
-                seed=args.seed, deadline=args.deadline))
-            print(reports[-1].summary())
-        if "brisc3" in formats:
-            reports.append(fuzz_chunked_container(
-                res.brisc.image.blob, target=f"{unit}.brisc3[chunks]",
-                seed=args.seed, deadline=args.deadline))
-            print(reports[-1].summary())
+            if version == 3:
+                reports.append(fuzz_chunked_container(
+                    blob, target=f"{unit}.{fmt}[chunks]", seed=args.seed,
+                    deadline=args.deadline))
+                print(reports[-1].summary())
     failures = [f for r in reports for f in r.failures]
     for failure in failures:
         print(f"FAIL {failure.target} #{failure.index} ({failure.kind}): "

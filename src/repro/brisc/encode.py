@@ -15,13 +15,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..compress.bitio import read_uvarint, take_bytes, write_uvarint
-from ..container.chunking import (
-    ChunkPlacement, ChunkRecord, ContainerIndex, FunctionExtent,
-    FunctionRecord, GreedyPlacement, validate_placement,
-)
+from ..container import DEFAULT_CHUNK_BYTES, ChunkRecord, Layout, pack_chunks
 from ..errors import (
     CorruptStreamError, DEFAULT_LIMITS, ResourceLimits,
-    TruncatedStreamError, UnsupportedFormatError, decode_guard,
+    TruncatedStreamError, decode_guard,
 )
 from ..ir.tree import GlobalData, PtrInit, ScalarInit
 from ..vm.instr import Instr, VMFunction, VMProgram
@@ -34,24 +31,21 @@ from .pattern import (
 from .slots import SlotProgram
 
 __all__ = [
-    "BriscImage", "container_index", "decode_function", "decode_image",
-    "decode_range", "encode_image", "repack_v3",
+    "BriscImage", "decode_function", "decode_image", "decode_range",
+    "encode_image", "repack_v3",
 ]
 
-# Fourth magic byte = container version.  "BRI1" (the seed format) has no
-# integrity check; "BRI2" carries a CRC32 of the entire payload right after
-# the magic, verified before any parsing, so corruption is detected up
-# front instead of mid-dictionary-rebuild.  BRISC is interpreted in place
-# from one monolithic image, so a whole-payload CRC plays the role the
-# per-stream CRCs play in the (multi-stream) wire container.  "BRI3" is
-# the seekable layout: the header (dictionary, tables, globals, function
-# metadata, block index) carries its own CRC, and the function code bytes
-# move into per-chunk extents each with their own CRC — see the v3
-# section below.
-_MAGIC_PREFIX = b"BRI"
-_MAGIC_V1 = b"BRI1"
+# Fourth magic byte = container version.  "BRI2" carries a CRC32 of the
+# entire payload right after the magic, verified before any parsing, so
+# corruption is detected up front instead of mid-dictionary-rebuild.
+# BRISC is interpreted in place from one monolithic image, so a
+# whole-payload CRC plays the role the per-stream CRCs play in the
+# (multi-stream) wire container.  "BRI3" is the seekable layout of
+# :mod:`repro.container`: the header (dictionary, tables, globals,
+# function metadata, block index) carries its own CRC, and the function
+# code bytes move into per-chunk extents each with their own CRC — see
+# the v3 section below.
 _MAGIC = b"BRI2"
-_MAGIC_V3 = b"BRI3"
 
 
 @dataclass
@@ -176,6 +170,36 @@ def _pack_globals(out: bytearray, globals_: List[GlobalData]) -> None:
                 raw = item.symbol.encode("utf-8")
                 write_uvarint(out, len(raw))
                 out.extend(raw)
+
+
+def _pack_block_offsets(out: bytearray, offsets: List[int]) -> None:
+    """Ascending basic-block start offsets, delta-coded."""
+    write_uvarint(out, len(offsets))
+    last = 0
+    for off in offsets:
+        write_uvarint(out, off - last)
+        last = off
+
+
+def _take_block_offsets(data: bytes, pos: int, name: str,
+                        code_len: int) -> Tuple[Set[int], int]:
+    """Inverse of :func:`_pack_block_offsets`, bounded by the code."""
+    nbb, pos = read_uvarint(data, pos)
+    if nbb > len(data) - pos:
+        raise TruncatedStreamError(
+            f"function {name!r} promises {nbb} block offsets, "
+            f"image too short")
+    offsets: Set[int] = set()
+    last = 0
+    for _ in range(nbb):
+        delta, pos = read_uvarint(data, pos)
+        last += delta
+        if last > code_len:
+            raise CorruptStreamError(
+                f"block offset {last} beyond code of {code_len} "
+                f"bytes in {name!r}")
+        offsets.add(last)
+    return offsets, pos
 
 
 def _take_name(data: bytes, pos: int, what: str) -> Tuple[str, int]:
@@ -323,11 +347,7 @@ def encode_image(
         write_uvarint(out, fn.param_bytes)
         write_uvarint(out, total_len)
         out.extend(body)
-        write_uvarint(out, len(bb_offsets))
-        last = 0
-        for off in bb_offsets:
-            write_uvarint(out, off - last)
-            last = off
+        _pack_block_offsets(out, bb_offsets)
 
     payload = bytes(out)
     image = BriscImage(
@@ -369,34 +389,6 @@ class DecodedFunction:
     param_bytes: int
     code: bytes
     bb_offsets: Set[int] = field(default_factory=set)
-
-
-def _brisc_version(blob: bytes) -> int:
-    """The container version byte, validated; typed error otherwise."""
-    if blob[:3] != _MAGIC_PREFIX:
-        raise UnsupportedFormatError("not a BRISC image (bad magic)")
-    if len(blob) < 4 or blob[3:4] not in (b"1", b"2", b"3"):
-        raise UnsupportedFormatError(
-            f"BRISC container version {blob[3:4]!r} is newer than this "
-            f"decoder")
-    return blob[3] - ord("0")
-
-
-def _image_payload(blob: bytes) -> bytes:
-    """Validate the magic/version/CRC framing; return the bare payload."""
-    if blob[:3] != _MAGIC_PREFIX:
-        raise UnsupportedFormatError("not a BRISC image (bad magic)")
-    version, _ = take_bytes(blob, 3, 1, "BRISC version byte")
-    if version == b"1":  # seed format: no integrity check
-        return blob[4:]
-    if version != b"2":
-        raise UnsupportedFormatError(
-            f"BRISC container version {version!r} is newer than this decoder")
-    stored, pos = take_bytes(blob, 4, 4, "BRISC payload CRC")
-    payload = blob[pos:]
-    if zlib.crc32(payload) != int.from_bytes(stored, "little"):
-        raise CorruptStreamError("BRISC payload CRC mismatch")
-    return payload
 
 
 def _parse_preamble(
@@ -450,10 +442,15 @@ def parse_image(
 ) -> DecodedImage:
     """Parse an image's container structure (no slot decoding yet)."""
     limits = limits or DEFAULT_LIMITS
-    if _brisc_version(blob) == 3:
-        return _parse_image_v3(blob, limits)
+    if BRISC.version(blob) == 3:
+        (image, _, _), functions = BRISC.read_all(blob, limits)
+        image.functions = functions
+        return image
     with decode_guard("BRISC image"):
-        data = _image_payload(blob)
+        stored, pos = take_bytes(blob, 4, 4, "BRISC payload CRC")
+        data = blob[pos:]
+        if zlib.crc32(data) != int.from_bytes(stored, "little"):
+            raise CorruptStreamError("BRISC payload CRC mismatch")
         out, nfuncs, pos = _parse_preamble(data, 0, limits)
         for _ in range(nfuncs):
             name, pos = _take_name(data, pos, "function name")
@@ -464,21 +461,7 @@ def parse_image(
                          limits.max_decoded_bytes)
             code, pos = take_bytes(data, pos, code_len,
                                    f"code for function {name!r}")
-            nbb, pos = read_uvarint(data, pos)
-            if nbb > len(data) - pos:
-                raise TruncatedStreamError(
-                    f"function {name!r} promises {nbb} block offsets, "
-                    f"image too short")
-            offsets: Set[int] = set()
-            last = 0
-            for _ in range(nbb):
-                delta, pos = read_uvarint(data, pos)
-                last += delta
-                if last > len(code):
-                    raise CorruptStreamError(
-                        f"block offset {last} beyond code of {len(code)} "
-                        f"bytes in {name!r}")
-                offsets.add(last)
+            offsets, pos = _take_block_offsets(data, pos, name, code_len)
             out.functions.append(
                 DecodedFunction(name, frame, params, code, offsets))
         return out
@@ -620,21 +603,17 @@ def decode_image(
 
 
 # ---------------------------------------------------------------------------
-# BRI3: the seekable chunked container
+# BRI3: the BRISC parts of the seekable container
 # ---------------------------------------------------------------------------
 #
-# Layout:
-#
-#   "BRI3" | crc32(header) u32 LE | uvarint header_len | header | chunks
-#
-# The header is the v2 preamble (dictionary, Markov tables, globals,
+# The header body is the v2 preamble (dictionary, Markov tables, globals,
 # entry) followed by the function metadata — name, frame, params, code
-# length, block-start offsets, chunk id — and the chunk table (offset
-# relative to the chunk area, stored length, CRC32).  A chunk is simply
-# the concatenated code bytes of its member functions (ascending original
-# index): BRISC code is already compressed and interpreted in place, so
-# chunking moves bytes without re-encoding them, and ``decode_range`` is
-# an exact byte slice of what a full ``parse_image`` would see.
+# length, block-start offsets, chunk id — and is stored raw.  A chunk is
+# simply the concatenated code bytes of its member functions (ascending
+# original index): BRISC code is already compressed and interpreted in
+# place, so chunking moves bytes without re-encoding them, and
+# ``decode_range`` is an exact byte slice of what a full ``parse_image``
+# would see.
 
 
 def _pack_preamble(out: bytearray, image: DecodedImage) -> None:
@@ -658,269 +637,92 @@ def _pack_preamble(out: bytearray, image: DecodedImage) -> None:
 
 def repack_v3(
     blob: bytes,
-    placement: Optional[ChunkPlacement] = None,
+    chunk_bytes: int = DEFAULT_CHUNK_BYTES,
     limits: Optional[ResourceLimits] = None,
 ) -> bytes:
-    """Transcode any BRISC image (v1/v2/v3) into a seekable BRI3 one.
+    """Transcode a BRISC image (v2/v3) into a seekable BRI3 one.
 
     The function code bytes are moved, never re-encoded, so the chunked
-    image decodes to exactly the same program.  ``placement`` groups
-    functions into chunks (default greedy, sized in code bytes).
+    image decodes to exactly the same program.  Functions are packed in
+    image order into chunks of at most ``chunk_bytes`` code bytes.
     """
     image = parse_image(blob, limits=limits)
-    extents = [FunctionExtent(fn.name, len(fn.code))
-               for fn in image.functions]
-    placement = placement or GreedyPlacement()
-    groups = validate_placement(placement.place(extents), len(extents))
-    chunk_of: Dict[int, int] = {}
-    for cid, members in enumerate(groups):
-        for index in members:
-            chunk_of[index] = cid
-
-    header = bytearray()
-    _pack_preamble(header, image)
-    write_uvarint(header, len(image.functions))
+    groups = pack_chunks([len(fn.code) for fn in image.functions],
+                         chunk_bytes)
+    chunk_of = {i: cid for cid, members in enumerate(groups)
+                for i in members}
+    body = bytearray()
+    _pack_preamble(body, image)
+    write_uvarint(body, len(image.functions))
     for index, fn in enumerate(image.functions):
         raw = fn.name.encode("utf-8")
-        write_uvarint(header, len(raw))
-        header.extend(raw)
-        write_uvarint(header, fn.frame_size)
-        write_uvarint(header, fn.param_bytes)
-        write_uvarint(header, len(fn.code))
-        write_uvarint(header, len(fn.bb_offsets))
-        last = 0
-        for off in sorted(fn.bb_offsets):
-            write_uvarint(header, off - last)
-            last = off
-        write_uvarint(header, chunk_of[index])
-    chunk_blobs = [
+        write_uvarint(body, len(raw))
+        body.extend(raw)
+        write_uvarint(body, fn.frame_size)
+        write_uvarint(body, fn.param_bytes)
+        write_uvarint(body, len(fn.code))
+        _pack_block_offsets(body, sorted(fn.bb_offsets))
+        write_uvarint(body, chunk_of[index])
+    return BRISC.write(bytes(body), [
         b"".join(image.functions[i].code for i in members)
-        for members in groups
-    ]
-    write_uvarint(header, len(chunk_blobs))
-    offset = 0
-    for chunk_blob in chunk_blobs:
-        write_uvarint(header, offset)
-        write_uvarint(header, len(chunk_blob))
-        header.extend(zlib.crc32(chunk_blob).to_bytes(4, "little"))
-        offset += len(chunk_blob)
-
-    prefix = bytearray(_MAGIC_V3)
-    prefix.extend(zlib.crc32(bytes(header)).to_bytes(4, "little"))
-    write_uvarint(prefix, len(header))
-    return bytes(prefix) + bytes(header) + b"".join(chunk_blobs)
+        for members in groups])
 
 
-def _parse_v3_header(blob: bytes, limits: ResourceLimits) -> Tuple[bytes, int]:
-    """Verify the BRI3 prefix framing; returns (header, header_bytes)."""
-    stored, pos = take_bytes(blob, 4, 4, "BRISC header CRC")
-    hlen, pos = read_uvarint(blob, pos)
-    limits.check("BRISC header size", hlen, limits.max_decoded_bytes)
-    header, pos = take_bytes(blob, pos, hlen, "BRISC container header")
-    if zlib.crc32(header) != int.from_bytes(stored, "little"):
-        raise CorruptStreamError("BRISC container header CRC mismatch")
-    return header, pos
+class _BriscLayout(Layout):
+    kind = "brisc"
+    prefix = b"BRI"
+    noun = "BRISC"
+    what = "BRISC image"
 
+    def parse_body(self, header, limits):
+        image, nfuncs, pos = _parse_preamble(header, 0, limits)
+        skeletons: List[DecodedFunction] = []  # every field but the code
+        entries = []
+        for _ in range(nfuncs):
+            name, pos = _take_name(header, pos, "function name")
+            frame, pos = read_uvarint(header, pos)
+            params, pos = read_uvarint(header, pos)
+            code_len, pos = read_uvarint(header, pos)
+            limits.check("function code size", code_len,
+                         limits.max_decoded_bytes)
+            offsets, pos = _take_block_offsets(header, pos, name, code_len)
+            chunk_id, pos = read_uvarint(header, pos)
+            skeletons.append(
+                DecodedFunction(name, frame, params, b"", offsets))
+            entries.append((name, chunk_id, code_len))
+        code_lens = [code_len for _, _, code_len in entries]
+        return (image, skeletons, code_lens), entries, pos
 
-@dataclass(frozen=True)
-class _FnMeta:
-    name: str
-    frame_size: int
-    param_bytes: int
-    code_len: int
-    bb_offsets: Tuple[int, ...]
-    chunk: int
-
-
-def _unpack_v3_header(
-    header: bytes, limits: ResourceLimits
-) -> Tuple[DecodedImage, List[_FnMeta], List[Tuple[int, int, int]]]:
-    """Parse a BRI3 header into (image shell without functions, function
-    metadata, per-chunk (offset, length, crc32))."""
-    image, nfuncs, pos = _parse_preamble(header, 0, limits)
-    fn_meta: List[_FnMeta] = []
-    for _ in range(nfuncs):
-        name, pos = _take_name(header, pos, "function name")
-        frame, pos = read_uvarint(header, pos)
-        params, pos = read_uvarint(header, pos)
-        code_len, pos = read_uvarint(header, pos)
-        limits.check("function code size", code_len,
-                     limits.max_decoded_bytes)
-        nbb, pos = read_uvarint(header, pos)
-        if nbb > len(header) - pos:
-            raise TruncatedStreamError(
-                f"function {name!r} promises {nbb} block offsets, "
-                f"header too short")
-        offsets: List[int] = []
-        last = 0
-        for _ in range(nbb):
-            delta, pos = read_uvarint(header, pos)
-            last += delta
-            if last > code_len:
-                raise CorruptStreamError(
-                    f"block offset {last} beyond code of {code_len} "
-                    f"bytes in {name!r}")
-            offsets.append(last)
-        chunk_id, pos = read_uvarint(header, pos)
-        fn_meta.append(_FnMeta(name, frame, params, code_len,
-                               tuple(offsets), chunk_id))
-    nchunks, pos = read_uvarint(header, pos)
-    limits.check("chunk count", nchunks, limits.max_streams)
-    if nchunks * 6 > len(header) - pos:  # each chunk costs >= 6 bytes
-        raise TruncatedStreamError(
-            f"header promises {nchunks} chunks, header too short")
-    chunk_meta: List[Tuple[int, int, int]] = []
-    for _ in range(nchunks):
-        offset, pos = read_uvarint(header, pos)
-        length, pos = read_uvarint(header, pos)
-        raw, pos = take_bytes(header, pos, 4, "chunk CRC")
-        chunk_meta.append((offset, length, int.from_bytes(raw, "little")))
-    for meta in fn_meta:
-        if meta.chunk >= nchunks:
+    def decode_chunk(self, shell, payload: bytes, chunk: ChunkRecord,
+                     limits: ResourceLimits) -> Dict[int, DecodedFunction]:
+        _, skeletons, code_lens = shell
+        expected = sum(code_lens[i] for i in chunk.members)
+        if expected != chunk.length:
             raise CorruptStreamError(
-                f"function {meta.name!r} references chunk {meta.chunk} "
-                f"of {nchunks}")
-    return image, fn_meta, chunk_meta
+                f"chunk {chunk.index} holds {chunk.length} bytes, its "
+                f"members need {expected}")
+        functions: Dict[int, DecodedFunction] = {}
+        cursor = 0
+        for member in chunk.members:
+            fn = skeletons[member]
+            end = cursor + code_lens[member]
+            functions[member] = DecodedFunction(
+                fn.name, fn.frame_size, fn.param_bytes, payload[cursor:end],
+                set(fn.bb_offsets))
+            cursor = end
+        return functions
+
+    def decode_flat(self, blob, limits):
+        return parse_image(blob, limits=limits).functions
+
+    def span_image(self, fn: DecodedFunction) -> bytes:
+        return fn.code
+
+    def describe(self, blob: bytes) -> str:
+        return f"BRISC image, {len(decode_image(blob).functions)} functions"
 
 
-def container_index(
-    blob: bytes, limits: Optional[ResourceLimits] = None
-) -> ContainerIndex:
-    """Parse the block index of a BRI3 image (no chunk verification)."""
-    limits = limits or DEFAULT_LIMITS
-    if _brisc_version(blob) != 3:
-        raise UnsupportedFormatError(
-            f"{blob[:4]!r} is not a seekable (BRI3) image")
-    with decode_guard("BRISC container index"):
-        header, base = _parse_v3_header(blob, limits)
-        _, fn_meta, chunk_meta = _unpack_v3_header(header, limits)
-        index = ContainerIndex(
-            kind="brisc", version=3,
-            total_bytes=base + sum(length for _, length, _ in chunk_meta),
-            header_bytes=base)
-        members: Dict[int, List[int]] = {}
-        span = 0
-        for i, meta in enumerate(fn_meta):
-            index.functions.append(
-                FunctionRecord(i, meta.name, meta.chunk, span, meta.code_len))
-            members.setdefault(meta.chunk, []).append(i)
-            span += meta.code_len
-        for cid, (offset, length, crc) in enumerate(chunk_meta):
-            index.chunks.append(
-                ChunkRecord(cid, base + offset, length, crc,
-                            tuple(members.get(cid, ()))))
-        return index
+BRISC = _BriscLayout()
 
-
-def _chunk_code(
-    blob: bytes,
-    chunk: ChunkRecord,
-    fn_meta: List[_FnMeta],
-) -> Dict[int, bytes]:
-    """CRC-check one chunk and split it into per-member code bytes."""
-    if chunk.offset + chunk.length > len(blob):
-        raise TruncatedStreamError(
-            f"chunk {chunk.index} extent [{chunk.offset}, "
-            f"{chunk.offset + chunk.length}) beyond the {len(blob)}-byte "
-            f"image")
-    payload = blob[chunk.offset:chunk.offset + chunk.length]
-    if zlib.crc32(payload) != chunk.crc32:
-        raise CorruptStreamError(f"chunk {chunk.index} CRC mismatch")
-    expected = sum(fn_meta[i].code_len for i in chunk.members)
-    if expected != chunk.length:
-        raise CorruptStreamError(
-            f"chunk {chunk.index} holds {chunk.length} bytes, its members "
-            f"need {expected}")
-    code: Dict[int, bytes] = {}
-    cursor = 0
-    for member in chunk.members:
-        code[member] = payload[cursor:cursor + fn_meta[member].code_len]
-        cursor += fn_meta[member].code_len
-    return code
-
-
-def _v3_function(meta: _FnMeta, code: bytes) -> DecodedFunction:
-    return DecodedFunction(meta.name, meta.frame_size, meta.param_bytes,
-                           code, set(meta.bb_offsets))
-
-
-def _parse_image_v3(blob: bytes, limits: ResourceLimits) -> DecodedImage:
-    """Full parse of a seekable image: every chunk is CRC-verified."""
-    with decode_guard("BRISC image"):
-        header, _ = _parse_v3_header(blob, limits)
-        image, fn_meta, _ = _unpack_v3_header(header, limits)
-    index = container_index(blob, limits)
-    with decode_guard("BRISC image"):
-        code: Dict[int, bytes] = {}
-        for chunk in index.chunks:
-            code.update(_chunk_code(blob, chunk, fn_meta))
-        image.functions = [_v3_function(meta, code[i])
-                           for i, meta in enumerate(fn_meta)]
-        return image
-
-
-def decode_function(
-    blob: bytes, name: str, limits: Optional[ResourceLimits] = None
-) -> DecodedFunction:
-    """Parse one function by name, touching only its covering chunk.
-
-    On a BRI3 image this verifies the header CRC and the target chunk's
-    CRC only, so corruption elsewhere cannot poison the read.  v1/v2
-    images fall back to a full parse.  The result is exactly the
-    function a full :func:`parse_image` would return.
-    """
-    limits = limits or DEFAULT_LIMITS
-    if _brisc_version(blob) != 3:
-        image = parse_image(blob, limits=limits)
-        for fn in image.functions:
-            if fn.name == name:
-                return fn
-        raise CorruptStreamError(
-            f"image has no function {name!r} "
-            f"(have: {[f.name for f in image.functions]})")
-    index = container_index(blob, limits)
-    record = index.function(name)
-    with decode_guard("BRISC image"):
-        header, _ = _parse_v3_header(blob, limits)
-        _, fn_meta, _ = _unpack_v3_header(header, limits)
-        code = _chunk_code(blob, index.chunks[record.chunk], fn_meta)
-        return _v3_function(fn_meta[record.index], code[record.index])
-
-
-def decode_range(
-    blob: bytes, start: int, length: int,
-    limits: Optional[ResourceLimits] = None,
-) -> bytes:
-    """Code-address-space bytes ``[start, start+length)``.
-
-    The BRISC decoded address space is the concatenation of every
-    function's code bytes in image order; the result is byte-identical
-    to slicing that concatenation out of a full :func:`parse_image`, but
-    on a BRI3 image only the covering chunks are CRC-checked and read.
-    Out-of-range spans clamp like a Python slice; negative arguments
-    raise a typed error.
-    """
-    limits = limits or DEFAULT_LIMITS
-    if start < 0 or length < 0:
-        raise CorruptStreamError(
-            f"invalid range request start={start} length={length}")
-    end = start + length
-    if _brisc_version(blob) != 3:
-        whole = b"".join(fn.code
-                         for fn in parse_image(blob, limits=limits).functions)
-        return whole[start:end]
-    index = container_index(blob, limits)
-    records = index.functions_in_span(start, length)
-    with decode_guard("BRISC image"):
-        header, _ = _parse_v3_header(blob, limits)
-        _, fn_meta, _ = _unpack_v3_header(header, limits)
-        code: Dict[int, bytes] = {}
-        for cid in sorted({record.chunk for record in records}):
-            code.update(_chunk_code(blob, index.chunks[cid], fn_meta))
-        out = bytearray()
-        for record in sorted(records, key=lambda r: r.span_start):
-            lo = max(start, record.span_start)
-            hi = min(end, record.span_start + record.span_length)
-            piece = code[record.index]
-            out.extend(piece[lo - record.span_start:hi - record.span_start])
-        return bytes(out)
+decode_function = BRISC.decode_function
+decode_range = BRISC.decode_range

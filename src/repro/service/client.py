@@ -157,6 +157,16 @@ class ServiceClient:
             raise TruncatedStreamError(
                 f"timed out awaiting a reply to {op!r} after "
                 f"{self.timeout}s") from exc
+        except ConnectionError as exc:
+            # The peer reset or dropped the connection once it was up —
+            # possibly after reading the request.  That is a truncated
+            # exchange, like a close before the reply; only a refused
+            # connect (raised by connect() above) stays a raw
+            # ConnectionError, so callers can tell "cannot reach".
+            self.close()
+            raise TruncatedStreamError(
+                f"connection lost awaiting a reply to {op!r}: {exc}"
+            ) from exc
         except (DecodeError, OSError):
             # Corrupt reply or dropped connection: the stream can no
             # longer be trusted, so the socket must not serve the next

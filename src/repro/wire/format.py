@@ -18,20 +18,18 @@ the only — purely internal — renaming).
 from __future__ import annotations
 
 import struct
-import zlib
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..compress import huffman
 from ..compress.bitio import read_uvarint, take_bytes, write_uvarint
 from ..compress.mtf import mtf_decode, mtf_encode
 from ..compress.streams import pack_streams, unpack_streams
-from ..container.chunking import (
-    ChunkPlacement, ChunkRecord, ContainerIndex, FunctionExtent,
-    FunctionRecord, GreedyPlacement, validate_placement,
+from ..container import (
+    DEFAULT_CHUNK_BYTES, ChunkRecord, Layout, pack_chunks,
 )
 from ..errors import (
     CorruptStreamError, DEFAULT_LIMITS, ResourceLimits,
-    TruncatedStreamError, UnsupportedFormatError, decode_guard,
+    TruncatedStreamError, decode_guard,
 )
 from ..ir.ops import op
 from ..ir.tree import GlobalData, IRFunction, IRModule, PtrInit, ScalarInit
@@ -41,21 +39,16 @@ from .patternize import (
 )
 
 __all__ = [
-    "container_index", "decode_function", "decode_module", "decode_range",
-    "encode_module", "encode_module_v3", "function_image", "stream_breakdown",
-    "wire_size",
+    "decode_function", "decode_module", "decode_range", "encode_module",
+    "encode_module_v3", "function_image", "stream_breakdown", "wire_size",
 ]
 
-# The fourth magic byte is the container version: "WIR1" blobs (the seed
-# format) carry no checksums and remain readable; "WIR2" blobs checksum
+# The fourth magic byte is the container version: "WIR2" blobs checksum
 # every stream (CRC32, verified before decode); "WIR3" blobs are the
-# seekable chunked layout (header + block index + per-chunk CRC32) decoded
-# by the v3 section below.  Anything else is rejected with
+# seekable chunked layout of :mod:`repro.container`, whose wire parts are
+# the v3 section below.  Anything else is rejected with
 # UnsupportedFormatError.
-_MAGIC_PREFIX = b"WIR"
-_MAGIC_V1 = b"WIR1"
 _MAGIC = b"WIR2"
-_MAGIC_V3 = b"WIR3"
 
 
 # ---------------------------------------------------------------------------
@@ -239,16 +232,22 @@ def _pack_fn_header(out: bytearray, fn: IRFunction) -> None:
         write_uvarint(out, size)
 
 
-def _pack_meta(module: IRModule, tree_counts: List[int]) -> bytes:
+def _pack_meta(name: str, globals_: List[GlobalData],
+               functions: Sequence[IRFunction],
+               fields: Sequence[Sequence[int]]) -> bytes:
+    """Module name, globals and function headers, each header followed
+    by its ``fields``: the tree count in a v2 meta stream, the chunk id
+    and span length in a v3 header body."""
     out = bytearray()
-    name_raw = module.name.encode("utf-8")
+    name_raw = name.encode("utf-8")
     write_uvarint(out, len(name_raw))
     out.extend(name_raw)
-    _pack_globals_meta(out, module.globals)
-    write_uvarint(out, len(module.functions))
-    for fn, count in zip(module.functions, tree_counts):
+    _pack_globals_meta(out, globals_)
+    write_uvarint(out, len(functions))
+    for fn, values in zip(functions, fields):
         _pack_fn_header(out, fn)
-        write_uvarint(out, count)
+        for value in values:
+            write_uvarint(out, value)
     return bytes(out)
 
 
@@ -320,9 +319,10 @@ def _read_fn_header(data: bytes, pos: int) -> Tuple[IRFunction, int]:
 
 
 def _unpack_meta(
-    data: bytes, limits: Optional[ResourceLimits] = None
-) -> Tuple[IRModule, List[int]]:
-    limits = limits or DEFAULT_LIMITS
+    data: bytes, limits: ResourceLimits, nfields: int
+) -> Tuple[IRModule, List[List[int]], int]:
+    """Inverse of :func:`_pack_meta`: (module skeleton, per-function
+    fields, end offset)."""
     name, pos = _read_name(data, 0, "module name")
     module = IRModule(name)
     module.globals, pos = _unpack_globals_meta(data, pos)
@@ -331,13 +331,16 @@ def _unpack_meta(
     if nfuncs > len(data) - pos:
         raise TruncatedStreamError(
             f"meta promises {nfuncs} functions, stream too short")
-    tree_counts: List[int] = []
+    fields: List[List[int]] = []
     for _ in range(nfuncs):
         fn, pos = _read_fn_header(data, pos)
-        count, pos = read_uvarint(data, pos)
+        values = []
+        for _ in range(nfields):
+            value, pos = read_uvarint(data, pos)
+            values.append(value)
         module.functions.append(fn)
-        tree_counts.append(count)
-    return module, tree_counts
+        fields.append(values)
+    return module, fields, pos
 
 
 # ---------------------------------------------------------------------------
@@ -345,28 +348,20 @@ def _unpack_meta(
 # ---------------------------------------------------------------------------
 
 
-def _collect_streams(module: IRModule) -> Tuple[
-    List[Pattern], Dict[str, List], List[int], IRModule
-]:
-    """Patternize the whole module.
-
-    Returns (pattern stream, literal streams, per-function tree counts,
-    label-normalized module).
-    """
-    normalized = IRModule(module.name, list(module.globals), [])
+def _function_streams(
+    functions: Sequence[IRFunction],
+) -> Tuple[List[Pattern], Dict[str, List]]:
+    """Patternize label-normalized functions: (pattern stream, literal
+    streams)."""
     pattern_stream: List[Pattern] = []
     literal_streams: Dict[str, List] = {}
-    tree_counts: List[int] = []
-    for fn in module.functions:
-        fn = normalize_labels(fn)
-        normalized.functions.append(fn)
-        tree_counts.append(len(fn.forest))
+    for fn in functions:
         for tree in fn.forest:
             pattern, literals = patternize_tree(tree)
             pattern_stream.append(pattern)
             for key, value in literals:
                 literal_streams.setdefault(key, []).append(value)
-    return pattern_stream, literal_streams, tree_counts, normalized
+    return pattern_stream, literal_streams
 
 
 def _stream_kind(key: str) -> str:
@@ -433,37 +428,11 @@ def _pack_code_streams(
 
 def encode_module(module: IRModule, compress: bool = True) -> bytes:
     """Encode ``module`` into the wire format (WIR2: per-stream CRC32)."""
-    pattern_stream, literal_streams, tree_counts, normalized = (
-        _collect_streams(module)
-    )
-    streams = _pack_code_streams(pattern_stream, literal_streams)
-    streams["meta"] = _pack_meta(normalized, tree_counts)
+    normalized = [normalize_labels(fn) for fn in module.functions]
+    streams = _pack_code_streams(*_function_streams(normalized))
+    streams["meta"] = _pack_meta(module.name, module.globals, normalized,
+                                 [[len(fn.forest)] for fn in normalized])
     return _MAGIC + pack_streams(streams, compress=compress, checksums=True)
-
-
-def _container_streams(
-    blob: bytes, limits: Optional[ResourceLimits] = None
-) -> Dict[str, bytes]:
-    """Validate the magic/version and unpack the stream container.
-
-    ``WIR1`` (the seed format, no checksums) and ``WIR2`` (per-stream
-    CRC32) both decode; any other magic or version raises
-    :class:`~repro.errors.UnsupportedFormatError`.
-    """
-    if _wire_version(blob) == 3:
-        raise UnsupportedFormatError(
-            "WIR3 containers are chunked, not a flat stream container")
-    return unpack_streams(blob[4:], limits=limits)
-
-
-def _wire_version(blob: bytes) -> int:
-    """The container version byte, validated; typed error otherwise."""
-    if len(blob) < 4 or blob[:3] != _MAGIC_PREFIX:
-        raise UnsupportedFormatError("not a wire-format blob")
-    if blob[3:4] not in (b"1", b"2", b"3"):
-        raise UnsupportedFormatError(
-            f"wire container version {blob[3:4]!r} is not supported")
-    return blob[3] - ord("0")
 
 
 def _required_stream(streams: Dict[str, bytes], name: str) -> bytes:
@@ -484,22 +453,30 @@ def decode_module(
     exception.
     """
     limits = limits or DEFAULT_LIMITS
-    if _wire_version(blob) == 3:
-        return _decode_module_v3(blob, limits)
-    streams = _container_streams(blob, limits)
-    with decode_guard("wire module"):
-        module, tree_counts = _unpack_meta(
-            _required_stream(streams, "meta"), limits)
-        trees = _decode_trees(streams, limits)
-        if sum(tree_counts) != len(trees):
-            raise CorruptStreamError(
-                f"function headers promise {sum(tree_counts)} trees but the "
-                f"pattern stream holds {len(trees)}")
-        cursor = 0
-        for fn, count in zip(module.functions, tree_counts):
-            fn.forest.extend(trees[cursor:cursor + count])
-            cursor += count
+    if WIRE.version(blob) == 3:
+        module, _ = WIRE.read_all(blob, limits)
         return module
+    streams = unpack_streams(blob[4:], limits=limits)
+    with decode_guard("wire module"):
+        module, fields, _ = _unpack_meta(
+            _required_stream(streams, "meta"), limits, 1)
+        trees = _decode_trees(streams, limits)
+        _fill_forests(module, range(len(module.functions)),
+                      [count for count, in fields], trees)
+        return module
+
+
+def _fill_forests(module: IRModule, members: Sequence[int],
+                  counts: List[int], trees: List) -> None:
+    """Deal ``trees`` out to ``members``, ``counts[i]`` each, in place."""
+    if sum(counts) != len(trees):
+        raise CorruptStreamError(
+            f"function headers promise {sum(counts)} trees but the "
+            f"pattern stream holds {len(trees)}")
+    cursor = 0
+    for member, count in zip(members, counts):
+        module.functions[member].forest.extend(trees[cursor:cursor + count])
+        cursor += count
 
 
 def _decode_trees(
@@ -575,22 +552,17 @@ def stream_breakdown(module: IRModule) -> Dict[str, int]:
 
 
 # ---------------------------------------------------------------------------
-# WIR3: the seekable chunked container
+# WIR3: the wire parts of the seekable container
 # ---------------------------------------------------------------------------
 #
-# Layout:
-#
-#   "WIR3" | crc32(header) u32 LE | uvarint header_len | header | chunks
-#
-# The header carries the module name, the globals (same packing as the v2
-# meta stream), the function headers — each with its chunk id and its span
-# length in the *decoded address space* (see :func:`function_image`) — and
-# the chunk table: per chunk, the offset (relative to the chunk area),
-# stored length, and CRC32.  Each chunk is a self-contained v2-style
-# stream container (``pack_streams``) holding the pattern/literal/symtab
-# streams of just its member functions plus a "counts" stream of their
-# per-function tree counts, so decoding any one chunk never touches
-# another chunk's bytes.
+# The header body is the v2 meta layout with two fields after each
+# function header — its chunk id and its span length in the decoded
+# address space (see :func:`function_image`) — and the header is stored
+# deflated, like the v2 meta stream.  Each chunk is a self-contained
+# v2-style stream container (``pack_streams``) holding the
+# pattern/literal/symtab streams of just its member functions plus a
+# "counts" stream of their per-function tree counts, so decoding any one
+# chunk never touches another chunk's bytes.
 
 
 def function_image(fn: IRFunction) -> bytes:
@@ -606,24 +578,8 @@ def function_image(fn: IRFunction) -> bytes:
     return (dump_function(fn) + "\n").encode("utf-8")
 
 
-def _function_streams(
-    functions: Sequence[IRFunction],
-) -> Tuple[List[Pattern], Dict[str, List]]:
-    """Patternize already-normalized functions into chunk-local streams."""
-    pattern_stream: List[Pattern] = []
-    literal_streams: Dict[str, List] = {}
-    for fn in functions:
-        for tree in fn.forest:
-            pattern, literals = patternize_tree(tree)
-            pattern_stream.append(pattern)
-            for key, value in literals:
-                literal_streams.setdefault(key, []).append(value)
-    return pattern_stream, literal_streams
-
-
-def _chunk_payload(members: Sequence[IRFunction], compress: bool) -> bytes:
-    pattern_stream, literal_streams = _function_streams(members)
-    streams = _pack_code_streams(pattern_stream, literal_streams)
+def _pack_chunk(members: Sequence[IRFunction], compress: bool) -> bytes:
+    streams = _pack_code_streams(*_function_streams(members))
     counts = bytearray()
     for fn in members:
         write_uvarint(counts, len(fn.forest))
@@ -631,271 +587,83 @@ def _chunk_payload(members: Sequence[IRFunction], compress: bool) -> bytes:
     return pack_streams(streams, compress=compress, checksums=True)
 
 
+class _WireLayout(Layout):
+    kind = "wire"
+    prefix = b"WIR"
+    noun = "wire"
+    what = "wire module"
+
+    def pack_header(self, header: bytes) -> bytes:
+        from ..compress import deflate
+
+        return deflate.compress(header)
+
+    def unpack_header(self, stored: bytes, limits: ResourceLimits) -> bytes:
+        from ..compress import deflate
+
+        return deflate.decompress(stored, limits)
+
+    def parse_body(self, header, limits):
+        module, fields, pos = _unpack_meta(header, limits, 2)
+        entries = [(fn.name, chunk_id, span_length)
+                   for fn, (chunk_id, span_length)
+                   in zip(module.functions, fields)]
+        return module, entries, pos
+
+    def decode_chunk(self, module: IRModule, payload: bytes,
+                     chunk: ChunkRecord, limits: ResourceLimits
+                     ) -> Dict[int, IRFunction]:
+        streams = unpack_streams(payload, limits=limits)
+        counts_data = _required_stream(streams, "counts")
+        counts: List[int] = []
+        pos = 0
+        while pos < len(counts_data):
+            count, pos = read_uvarint(counts_data, pos)
+            counts.append(count)
+        if len(counts) != len(chunk.members):
+            raise CorruptStreamError(
+                f"chunk {chunk.index} holds {len(counts)} functions, the "
+                f"index maps {len(chunk.members)} to it")
+        _fill_forests(module, chunk.members, counts,
+                      _decode_trees(streams, limits))
+        return {member: module.functions[member] for member in chunk.members}
+
+    def decode_flat(self, blob, limits):
+        return decode_module(blob, limits).functions
+
+    def span_image(self, fn: IRFunction) -> bytes:
+        return function_image(fn)
+
+    def describe(self, blob: bytes) -> str:
+        return f"wire module {decode_module(blob).name!r}"
+
+
+WIRE = _WireLayout()
+
+
 def encode_module_v3(
     module: IRModule,
     compress: bool = True,
-    placement: Optional[ChunkPlacement] = None,
+    chunk_bytes: int = DEFAULT_CHUNK_BYTES,
 ) -> bytes:
     """Encode ``module`` as a seekable WIR3 container.
 
-    ``placement`` decides which functions share a chunk (default:
-    :class:`~repro.container.chunking.GreedyPlacement`).  Placement
-    extents are sized in decoded-address-space bytes (the span lengths),
-    so the chunk cap is a bound on how much decoded code one chunk
-    serves, independent of deflate luck.
+    Functions are packed in module order into chunks of at most
+    ``chunk_bytes`` decoded-address-space bytes (the span lengths), so
+    the cap bounds how much decoded code one chunk serves, independent
+    of deflate luck.
     """
     normalized = [normalize_labels(fn) for fn in module.functions]
-    images = [function_image(fn) for fn in normalized]
-    extents = [FunctionExtent(fn.name, len(image))
-               for fn, image in zip(normalized, images)]
-    placement = placement or GreedyPlacement()
-    groups = validate_placement(placement.place(extents), len(normalized))
-    chunk_of: Dict[int, int] = {}
-    for cid, members in enumerate(groups):
-        for index in members:
-            chunk_of[index] = cid
-    chunk_blobs = [
-        _chunk_payload([normalized[i] for i in members], compress)
-        for members in groups
-    ]
-
-    header = bytearray()
-    name_raw = module.name.encode("utf-8")
-    write_uvarint(header, len(name_raw))
-    header.extend(name_raw)
-    _pack_globals_meta(header, module.globals)
-    write_uvarint(header, len(normalized))
-    for index, fn in enumerate(normalized):
-        _pack_fn_header(header, fn)
-        write_uvarint(header, chunk_of[index])
-        write_uvarint(header, len(images[index]))
-    write_uvarint(header, len(chunk_blobs))
-    offset = 0
-    for chunk_blob in chunk_blobs:
-        write_uvarint(header, offset)
-        write_uvarint(header, len(chunk_blob))
-        header.extend(zlib.crc32(chunk_blob).to_bytes(4, "little"))
-        offset += len(chunk_blob)
-
-    # The header deflates like the v2 meta stream did; the CRC covers the
-    # raw (decompressed) header so index corruption is caught either way.
-    from ..compress import deflate
-
-    packed_header = deflate.compress(bytes(header))
-    prefix = bytearray(_MAGIC_V3)
-    prefix.extend(zlib.crc32(bytes(header)).to_bytes(4, "little"))
-    write_uvarint(prefix, len(packed_header))
-    return bytes(prefix) + packed_header + b"".join(chunk_blobs)
+    spans = [len(function_image(fn)) for fn in normalized]
+    groups = pack_chunks(spans, chunk_bytes)
+    chunk_of = {i: cid for cid, members in enumerate(groups)
+                for i in members}
+    body = _pack_meta(module.name, module.globals, normalized,
+                      [[chunk_of[i], span] for i, span in enumerate(spans)])
+    return WIRE.write(body, [
+        _pack_chunk([normalized[i] for i in members], compress)
+        for members in groups])
 
 
-def _parse_v3_header(blob: bytes, limits: ResourceLimits) -> Tuple[bytes, int]:
-    """Verify the WIR3 prefix framing; returns (header, header_bytes).
-
-    ``header_bytes`` is the chunk-area base offset — the prefix every
-    partial read must hold.
-    """
-    from ..compress import deflate
-
-    stored, pos = take_bytes(blob, 4, 4, "wire header CRC")
-    hlen, pos = read_uvarint(blob, pos)
-    limits.check("wire header size", hlen, limits.max_decoded_bytes)
-    packed, pos = take_bytes(blob, pos, hlen, "wire container header")
-    header = deflate.decompress(packed, limits)
-    if zlib.crc32(header) != int.from_bytes(stored, "little"):
-        raise CorruptStreamError("wire container header CRC mismatch")
-    return header, pos
-
-
-def _unpack_v3_header(
-    header: bytes, limits: ResourceLimits
-) -> Tuple[IRModule, List[Tuple[int, int]], List[Tuple[int, int, int]]]:
-    """Parse a WIR3 header into (module skeleton, per-function
-    (chunk id, span length), per-chunk (offset, length, crc32))."""
-    name, pos = _read_name(header, 0, "module name")
-    module = IRModule(name)
-    module.globals, pos = _unpack_globals_meta(header, pos)
-    nfuncs, pos = read_uvarint(header, pos)
-    limits.check("function count", nfuncs, limits.max_functions)
-    if nfuncs > len(header) - pos:
-        raise TruncatedStreamError(
-            f"header promises {nfuncs} functions, header too short")
-    fn_meta: List[Tuple[int, int]] = []
-    for _ in range(nfuncs):
-        fn, pos = _read_fn_header(header, pos)
-        chunk_id, pos = read_uvarint(header, pos)
-        span_len, pos = read_uvarint(header, pos)
-        module.functions.append(fn)
-        fn_meta.append((chunk_id, span_len))
-    nchunks, pos = read_uvarint(header, pos)
-    limits.check("chunk count", nchunks, limits.max_streams)
-    if nchunks * 6 > len(header) - pos:  # each chunk costs >= 6 bytes
-        raise TruncatedStreamError(
-            f"header promises {nchunks} chunks, header too short")
-    chunk_meta: List[Tuple[int, int, int]] = []
-    for _ in range(nchunks):
-        offset, pos = read_uvarint(header, pos)
-        length, pos = read_uvarint(header, pos)
-        raw, pos = take_bytes(header, pos, 4, "chunk CRC")
-        chunk_meta.append((offset, length, int.from_bytes(raw, "little")))
-    for chunk_id, _ in fn_meta:
-        if chunk_id >= nchunks:
-            raise CorruptStreamError(
-                f"function references chunk {chunk_id} of {nchunks}")
-    return module, fn_meta, chunk_meta
-
-
-def container_index(
-    blob: bytes, limits: Optional[ResourceLimits] = None
-) -> ContainerIndex:
-    """Parse the block index of a WIR3 container (no chunk decoding)."""
-    limits = limits or DEFAULT_LIMITS
-    if _wire_version(blob) != 3:
-        raise UnsupportedFormatError(
-            f"{blob[:4]!r} is not a seekable (WIR3) container")
-    with decode_guard("wire container index"):
-        header, base = _parse_v3_header(blob, limits)
-        module, fn_meta, chunk_meta = _unpack_v3_header(header, limits)
-        index = ContainerIndex(
-            kind="wire", version=3,
-            total_bytes=base + sum(length for _, length, _ in chunk_meta),
-            header_bytes=base)
-        members: Dict[int, List[int]] = {}
-        span = 0
-        for i, (fn, (chunk_id, span_len)) in enumerate(
-                zip(module.functions, fn_meta)):
-            index.functions.append(
-                FunctionRecord(i, fn.name, chunk_id, span, span_len))
-            members.setdefault(chunk_id, []).append(i)
-            span += span_len
-        for cid, (offset, length, crc) in enumerate(chunk_meta):
-            index.chunks.append(
-                ChunkRecord(cid, base + offset, length, crc,
-                            tuple(members.get(cid, ()))))
-        return index
-
-
-def _decode_v3_chunk(
-    blob: bytes, chunk: ChunkRecord, limits: ResourceLimits
-) -> Tuple[List[int], List]:
-    """CRC-check and decode one chunk; returns (tree counts, trees)."""
-    if chunk.offset + chunk.length > len(blob):
-        raise TruncatedStreamError(
-            f"chunk {chunk.index} extent [{chunk.offset}, "
-            f"{chunk.offset + chunk.length}) beyond the {len(blob)}-byte "
-            f"container")
-    payload = blob[chunk.offset:chunk.offset + chunk.length]
-    if zlib.crc32(payload) != chunk.crc32:
-        raise CorruptStreamError(f"chunk {chunk.index} CRC mismatch")
-    streams = unpack_streams(payload, limits=limits)
-    counts_data = _required_stream(streams, "counts")
-    counts: List[int] = []
-    pos = 0
-    while pos < len(counts_data):
-        count, pos = read_uvarint(counts_data, pos)
-        counts.append(count)
-    if len(counts) != len(chunk.members):
-        raise CorruptStreamError(
-            f"chunk {chunk.index} holds {len(counts)} functions, the index "
-            f"maps {len(chunk.members)} to it")
-    trees = _decode_trees(streams, limits)
-    if sum(counts) != len(trees):
-        raise CorruptStreamError(
-            f"chunk {chunk.index} promises {sum(counts)} trees but decodes "
-            f"{len(trees)}")
-    return counts, trees
-
-
-def _decode_chunk_functions(
-    blob: bytes,
-    module: IRModule,
-    chunk: ChunkRecord,
-    limits: ResourceLimits,
-) -> None:
-    """Fill in the forests of one chunk's member functions, in place."""
-    counts, trees = _decode_v3_chunk(blob, chunk, limits)
-    cursor = 0
-    for member, count in zip(chunk.members, counts):
-        module.functions[member].forest.extend(trees[cursor:cursor + count])
-        cursor += count
-
-
-def _decode_module_v3(blob: bytes, limits: ResourceLimits) -> IRModule:
-    with decode_guard("wire module"):
-        header, base = _parse_v3_header(blob, limits)
-        module, _, _ = _unpack_v3_header(header, limits)
-    index = container_index(blob, limits)
-    with decode_guard("wire module"):
-        for chunk in index.chunks:
-            _decode_chunk_functions(blob, module, chunk, limits)
-        return module
-
-
-def decode_function(
-    blob: bytes, name: str, limits: Optional[ResourceLimits] = None
-) -> IRFunction:
-    """Decode one function by name, touching only its covering chunk.
-
-    On a WIR3 blob this verifies the header CRC and the target chunk's
-    CRC only — corruption elsewhere in the container is invisible, which
-    is the isolation property the fuzz harness checks.  v1/v2 blobs fall
-    back to a full decode.  The result is exactly the function a full
-    :func:`decode_module` would return.
-    """
-    limits = limits or DEFAULT_LIMITS
-    if _wire_version(blob) != 3:
-        module = decode_module(blob, limits)
-        for fn in module.functions:
-            if fn.name == name:
-                return fn
-        raise CorruptStreamError(
-            f"container has no function {name!r} "
-            f"(have: {[f.name for f in module.functions]})")
-    index = container_index(blob, limits)
-    record = index.function(name)
-    with decode_guard("wire module"):
-        header, _ = _parse_v3_header(blob, limits)
-        module, _, _ = _unpack_v3_header(header, limits)
-        _decode_chunk_functions(blob, module, index.chunks[record.chunk],
-                                limits)
-        return module.functions[record.index]
-
-
-def decode_range(
-    blob: bytes, start: int, length: int,
-    limits: Optional[ResourceLimits] = None,
-) -> bytes:
-    """Decoded-address-space bytes ``[start, start+length)``.
-
-    Byte-identical to concatenating :func:`function_image` over a full
-    :func:`decode_module` and slicing — but on a WIR3 blob only the
-    chunks covering the requested span are CRC-checked and decompressed.
-    Out-of-range spans clamp like a Python slice; negative arguments
-    raise a typed error.
-    """
-    limits = limits or DEFAULT_LIMITS
-    if start < 0 or length < 0:
-        raise CorruptStreamError(
-            f"invalid range request start={start} length={length}")
-    end = start + length
-    if _wire_version(blob) != 3:
-        whole = b"".join(function_image(fn)
-                         for fn in decode_module(blob, limits).functions)
-        return whole[start:end]
-    index = container_index(blob, limits)
-    records = index.functions_in_span(start, length)
-    with decode_guard("wire module"):
-        header, _ = _parse_v3_header(blob, limits)
-        module, _, _ = _unpack_v3_header(header, limits)
-        for cid in sorted({record.chunk for record in records}):
-            _decode_chunk_functions(blob, module, index.chunks[cid], limits)
-        out = bytearray()
-        for record in sorted(records, key=lambda r: r.span_start):
-            image = function_image(module.functions[record.index])
-            if len(image) != record.span_length:
-                raise CorruptStreamError(
-                    f"function {record.name!r} decodes to {len(image)} span "
-                    f"bytes, the index promises {record.span_length}")
-            lo = max(start, record.span_start)
-            hi = min(end, record.span_start + record.span_length)
-            out.extend(image[lo - record.span_start:hi - record.span_start])
-        return bytes(out)
+decode_function = WIRE.decode_function
+decode_range = WIRE.decode_range

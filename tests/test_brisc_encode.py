@@ -129,7 +129,7 @@ class TestRandomAccess:
 
 
 class TestContainerIntegrity:
-    """BRI2 framing: version byte, whole-payload CRC, legacy decode."""
+    """BRI2 framing: version byte, whole-payload CRC."""
 
     def test_new_images_are_bri2_with_crc(self):
         import zlib
@@ -139,17 +139,14 @@ class TestContainerIntegrity:
         stored = int.from_bytes(blob[4:8], "little")
         assert zlib.crc32(blob[8:]) == stored
 
-    def test_legacy_bri1_images_still_decode(self):
-        blob = compress(compile_sample("wc")).image.blob
-        legacy = b"BRI1" + blob[8:]  # strip the CRC, downgrade the magic
-        assert decompress(legacy) == decompress(blob)
-
     def test_unknown_version_rejected(self):
         from repro.errors import UnsupportedFormatError
 
         blob = compress(compile_sample("wc")).image.blob
-        with pytest.raises(UnsupportedFormatError):
-            parse_image(b"BRI9" + blob[4:])
+        # BRI1 (the seed format, no CRC) is no longer read either.
+        for legacy in (b"BRI1" + blob[8:], b"BRI9" + blob[4:]):
+            with pytest.raises(UnsupportedFormatError):
+                parse_image(legacy)
 
     def test_crc_catches_payload_corruption(self):
         from repro.errors import CorruptStreamError
@@ -166,11 +163,3 @@ class TestContainerIntegrity:
         for cut in (2, 6, len(blob) // 2):
             with pytest.raises(DecodeError):
                 parse_image(blob[:cut])
-
-    def test_legacy_image_still_runs(self):
-        from repro.brisc import run_image
-
-        cp = compress(compile_sample("wc"))
-        legacy = b"BRI1" + cp.image.blob[8:]
-        assert run_image(legacy, stdin="two words\n").output == \
-            run_image(cp.image.blob, stdin="two words\n").output

@@ -154,9 +154,11 @@ def test_verify_unknown_magic_exits_2(tmp_path, capsys):
 
 def test_verify_future_version_exits_2(wire_blob_path, capsys):
     blob = open(wire_blob_path, "rb").read()
-    open(wire_blob_path, "wb").write(b"WIR9" + blob[4:])
-    assert main(["verify", wire_blob_path]) == 2
-    assert "unsupported" in capsys.readouterr().err
+    # WIR1, the retired seed format, is unsupported like a future one.
+    for magic in (b"WIR9", b"WIR1"):
+        open(wire_blob_path, "wb").write(magic + blob[4:])
+        assert main(["verify", wire_blob_path]) == 2
+        assert "unsupported" in capsys.readouterr().err
 
 
 def test_fuzz_smoke(capsys):
@@ -172,11 +174,13 @@ def test_fuzz_rejects_unknown_format(capsys):
 
 
 def test_fuzz_chunked_formats(capsys):
-    """wire3/brisc3 run both the byte sweep and the isolation harness."""
+    """wire3/brisc3 run both the byte sweep and the isolation harness;
+    asking for wire alongside wire3 fuzzes the v2 container too."""
     assert main(["fuzz", "--seed", "5", "--mutations", "10",
-                 "--units", "wc", "--formats", "wire3,brisc3",
+                 "--units", "wc", "--formats", "wire,wire3,brisc3",
                  "--chunk-bytes", "256"]) == 0
     out = capsys.readouterr().out
+    assert "wc.wire:" in out
     assert "wc.wire3" in out and "wc.brisc3" in out
     assert "[chunks]" in out and "0 contract violations" in out
 
@@ -189,12 +193,11 @@ def test_fuzz_chunked_formats(capsys):
 @pytest.fixture
 def wire3_blob_path(hello_c, tmp_path, capsys):
     from repro.cfront import compile_to_ast
-    from repro.container import GreedyPlacement
     from repro.ir import lower_unit
     from repro.wire import encode_module_v3
 
     module = lower_unit(compile_to_ast(HELLO, "hello"), "hello")
-    blob = encode_module_v3(module, placement=GreedyPlacement(64))
+    blob = encode_module_v3(module, chunk_bytes=64)
     path = tmp_path / "v.wir3"
     path.write_bytes(blob)
     return str(path)

@@ -1,10 +1,10 @@
-"""Seekable v3 containers: placement, partial decode, and isolation.
+"""Seekable v3 containers: chunk packing, partial decode, and isolation.
 
-The contract under test (the tentpole's acceptance criteria):
+The contract under test:
 
 * ``decode_range(blob, start, n)`` over a chunked container is
   byte-identical to slicing the fully-decoded address space — for any
-  span, any chunk-size cap, and both placement policies;
+  span and any chunk-size cap;
 * ``decode_function`` touches only the chunks covering the function, so
   it works on *sparse* containers holding just those byte ranges;
 * corruption in one chunk raises a typed error for reads of that chunk
@@ -20,9 +20,8 @@ from repro.brisc import encode as brisc_encode
 from repro.cfront import compile_to_ast
 from repro.codegen import generate_program
 from repro.container import (
-    ChunkPlacement, FunctionExtent, GreedyPlacement, HotColdPlacement,
     assemble_sparse, container_index, container_kind, decode_range_bytes,
-    validate_placement,
+    pack_chunks,
 )
 from repro.corpus import get_sample
 from repro.errors import (
@@ -65,55 +64,33 @@ def multi_program():
 
 
 # ---------------------------------------------------------------------------
-# placement policies
+# packing functions into chunks
 # ---------------------------------------------------------------------------
 
 
-EXTENTS = [FunctionExtent("f0", 100), FunctionExtent("f1", 200),
-           FunctionExtent("f2", 900), FunctionExtent("f3", 50),
-           FunctionExtent("f4", 400)]
+SIZES = [100, 200, 900, 50, 400]
 
 
 class TestPlacement:
     def test_greedy_respects_size_cap(self):
-        placement = GreedyPlacement(target_bytes=300).place(EXTENTS)
-        validate_placement(placement, len(EXTENTS))
-        for members in placement:
-            size = sum(EXTENTS[i].size for i in members)
+        chunks = pack_chunks(SIZES, 300)
+        assert sorted(i for members in chunks for i in members) == \
+            list(range(len(SIZES)))
+        for members in chunks:
+            size = sum(SIZES[i] for i in members)
             assert size <= 300 or len(members) == 1
 
     def test_oversize_function_gets_own_chunk(self):
-        placement = GreedyPlacement(target_bytes=300).place(EXTENTS)
-        assert [2] in placement  # f2 (900 B) cannot share
+        assert [2] in pack_chunks(SIZES, 300)  # f2 (900 B) cannot share
 
     def test_greedy_keeps_module_order(self):
-        placement = GreedyPlacement(target_bytes=10_000).place(EXTENTS)
-        assert placement == [[0, 1, 2, 3, 4]]
-
-    def test_hot_cold_clusters_by_heat(self):
-        hot = HotColdPlacement({"f3": 10.0, "f1": 5.0},
-                               target_bytes=10_000)
-        placement = hot.place(EXTENTS)
-        validate_placement(placement, len(EXTENTS))
-        flat = [i for members in placement for i in members]
-        # The hot functions lead; cold ties keep module order.
-        assert flat[:2] == [3, 1] or placement[0][:2] == [1, 3]
-
-    def test_validate_rejects_lost_and_duplicate(self):
-        with pytest.raises(ValueError):
-            validate_placement([[0, 1]], 3)       # lost index 2
-        with pytest.raises(ValueError):
-            validate_placement([[0, 1], [1, 2]], 3)  # duplicated index 1
-        with pytest.raises(ValueError):
-            validate_placement([[0, 3]], 2)       # invented index 3
-
-    def test_base_policy_is_abstract(self):
-        with pytest.raises(NotImplementedError):
-            ChunkPlacement().place(EXTENTS)
+        assert pack_chunks(SIZES, 10_000) == [[0, 1, 2, 3, 4]]
+        assert pack_chunks(SIZES, 300) == [[0, 1], [2], [3], [4]]
+        assert pack_chunks([], 300) == []
 
     def test_greedy_rejects_bad_target(self):
         with pytest.raises(ValueError):
-            GreedyPlacement(target_bytes=0)
+            pack_chunks(SIZES, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -121,8 +98,9 @@ class TestPlacement:
 # ---------------------------------------------------------------------------
 
 
-WIRE_PLACEMENTS = [None, GreedyPlacement(256), GreedyPlacement(64),
-                   HotColdPlacement({"main": 5.0})]
+#: Chunk caps: the default (None), a few functions per chunk, about one
+#: per chunk, and one per chunk.
+WIRE_CHUNK_BYTES = [None, 256, 64, 1]
 
 
 class TestWireV3:
@@ -131,9 +109,10 @@ class TestWireV3:
         v3 = decode_module(encode_module_v3(multi_module))
         assert dump_module(v3) == dump_module(v2)
 
-    @pytest.mark.parametrize("placement", WIRE_PLACEMENTS)
-    def test_decode_range_matches_full_slice(self, multi_module, placement):
-        blob = encode_module_v3(multi_module, placement=placement)
+    @pytest.mark.parametrize("chunk_bytes", WIRE_CHUNK_BYTES)
+    def test_decode_range_matches_full_slice(self, multi_module, chunk_bytes):
+        blob = encode_module_v3(multi_module, **(
+            {} if chunk_bytes is None else {"chunk_bytes": chunk_bytes}))
         whole = b"".join(function_image(fn)
                          for fn in decode_module(blob).functions)
         rng = Random(3)
@@ -144,7 +123,7 @@ class TestWireV3:
                 whole[start:start + length]
 
     def test_decode_range_clamps_like_a_slice(self, wc_module):
-        blob = encode_module_v3(wc_module, placement=GreedyPlacement(256))
+        blob = encode_module_v3(wc_module, chunk_bytes=256)
         whole = b"".join(function_image(fn)
                          for fn in decode_module(blob).functions)
         assert decode_range(blob, len(whole) - 4, 100) == whole[-4:]
@@ -159,7 +138,7 @@ class TestWireV3:
             decode_range(blob, 0, -5)
 
     def test_decode_function_matches_full_decode(self, multi_module):
-        blob = encode_module_v3(multi_module, placement=GreedyPlacement(64))
+        blob = encode_module_v3(multi_module, chunk_bytes=64)
         full = {fn.name: fn for fn in decode_module(blob).functions}
         for name in full:
             assert dump_function(decode_function(blob, name)) == \
@@ -172,7 +151,7 @@ class TestWireV3:
 
     def test_sparse_container_serves_one_function(self, multi_module):
         """Only the header + covering chunks suffice for one function."""
-        blob = encode_module_v3(multi_module, placement=GreedyPlacement(64))
+        blob = encode_module_v3(multi_module, chunk_bytes=64)
         index = container_index(blob)
         ranges = index.ranges_for_function("b")
         fetched = sum(n for _, n in ranges)
@@ -190,8 +169,8 @@ class TestWireV3:
         assert decode_function(v2, "a").name == "a"
 
     def test_roundtrip_is_deterministic(self, wc_module):
-        one = encode_module_v3(wc_module, placement=GreedyPlacement(256))
-        two = encode_module_v3(wc_module, placement=GreedyPlacement(256))
+        one = encode_module_v3(wc_module, chunk_bytes=256)
+        two = encode_module_v3(wc_module, chunk_bytes=256)
         assert one == two
 
 
@@ -207,7 +186,7 @@ def bri2_blob(multi_program):
 
 @pytest.fixture(scope="module")
 def bri3_blob(bri2_blob):
-    return brisc_encode.repack_v3(bri2_blob, GreedyPlacement(64))
+    return brisc_encode.repack_v3(bri2_blob, 64)
 
 
 class TestBriscV3:
@@ -222,7 +201,7 @@ class TestBriscV3:
         assert run_image(bri3_blob).output == "18\n"
 
     def test_repack_is_idempotent(self, bri3_blob):
-        again = brisc_encode.repack_v3(bri3_blob, GreedyPlacement(64))
+        again = brisc_encode.repack_v3(bri3_blob, 64)
         assert again == bri3_blob
 
     def test_decode_range_matches_code_bytes(self, bri2_blob, bri3_blob):
@@ -273,7 +252,7 @@ class TestContainerIndex:
             container_kind(b"ZZZZ not a container")
 
     def test_ranges_always_cover_the_header(self, multi_module):
-        blob = encode_module_v3(multi_module, placement=GreedyPlacement(64))
+        blob = encode_module_v3(multi_module, chunk_bytes=64)
         index = container_index(blob)
         for fn in index.functions:
             ranges = index.ranges_for_function(fn.name)
@@ -281,7 +260,7 @@ class TestContainerIndex:
             assert ranges[0][1] >= index.header_bytes
 
     def test_functions_in_span(self, multi_module):
-        blob = encode_module_v3(multi_module, placement=GreedyPlacement(64))
+        blob = encode_module_v3(multi_module, chunk_bytes=64)
         index = container_index(blob)
         spans = sorted(index.functions, key=lambda f: f.span_start)
         first = spans[0]
@@ -307,8 +286,7 @@ class TestIsolation:
     @pytest.mark.parametrize("fmt", ("wire", "brisc"))
     def test_corrupt_chunk_is_contained(self, fmt, multi_module, bri3_blob):
         if fmt == "wire":
-            blob = encode_module_v3(multi_module,
-                                    placement=GreedyPlacement(64))
+            blob = encode_module_v3(multi_module, chunk_bytes=64)
         else:
             blob = bri3_blob
         index = container_index(blob)
@@ -327,8 +305,7 @@ class TestIsolation:
     @pytest.mark.parametrize("fmt", ("wire", "brisc"))
     def test_fuzz_harness_reports_clean(self, fmt, multi_module, bri3_blob):
         if fmt == "wire":
-            blob = encode_module_v3(multi_module,
-                                    placement=GreedyPlacement(64))
+            blob = encode_module_v3(multi_module, chunk_bytes=64)
         else:
             blob = bri3_blob
         report = fuzz_chunked_container(blob, target=f"{fmt}3", seed=2)

@@ -825,6 +825,42 @@ def test_transport_failures_consume_the_retry_budget():
     finally:
         stop.set()
         listener.close()
+
+
+def test_reset_after_the_request_is_a_typed_transport_error():
+    """A peer that reads the whole request and then resets the
+    connection (SO_LINGER 0 turns close() into an RST) must surface as
+    a chained TruncatedStreamError, not a raw ConnectionResetError; a
+    refused connect stays a ConnectionError so the CLI can report that
+    the server cannot be reached."""
+    listener = socket.socket()
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(1)
+    port = listener.getsockname()[1]
+
+    def read_then_reset():
+        conn, _ = listener.accept()
+        header = conn.recv(8, socket.MSG_WAITALL)
+        length = struct.unpack(">I", header[4:8])[0]
+        conn.recv(length + 4, socket.MSG_WAITALL)  # payload + CRC
+        conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                        struct.pack("ii", 1, 0))
+        conn.close()
+
+    thread = threading.Thread(target=read_then_reset, daemon=True)
+    thread.start()
+    try:
+        client = ServiceClient(port=port, timeout=5.0, retries=0)
+        with pytest.raises(TruncatedStreamError) as info:
+            client.ping()
+        assert isinstance(info.value.__cause__, ConnectionError)
+        client.close()
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+    finally:
+        listener.close()
+    with pytest.raises(ConnectionRefusedError):
+        ServiceClient(port=port, timeout=5.0).ping()
         thread.join(timeout=2.0)
 
 

@@ -156,31 +156,20 @@ class TestSizes:
 
 
 class TestContainerIntegrity:
-    """WIR2 framing: version byte, per-stream CRCs, legacy decode."""
+    """WIR2 framing: version byte, per-stream CRCs."""
 
     def test_new_blobs_are_wir2(self):
         blob = encode_module(lower(SAMPLES["calc"]))
         assert blob[:4] == b"WIR2"
 
-    def test_legacy_wir1_blobs_still_decode(self):
-        from repro.compress.streams import pack_streams, unpack_streams
-        from repro.ir import dump_module
-
-        mod = lower(SAMPLES["calc"], "calc")
-        blob = encode_module(mod)
-        # Rebuild the same container the seed format would have written:
-        # identical streams, no CRCs, WIR1 magic.
-        streams = unpack_streams(blob[4:])
-        legacy = b"WIR1" + pack_streams(streams, checksums=False)
-        assert dump_module(decode_module(legacy)) == \
-            dump_module(decode_module(blob))
-
     def test_unknown_version_rejected(self):
         from repro.errors import UnsupportedFormatError
 
         blob = encode_module(lower("int f(void) { return 1; }"))
-        with pytest.raises(UnsupportedFormatError):
-            decode_module(b"WIR9" + blob[4:])
+        # WIR1 (the unchecksummed seed format) is no longer read either.
+        for magic in (b"WIR1", b"WIR9"):
+            with pytest.raises(UnsupportedFormatError):
+                decode_module(magic + blob[4:])
 
     def test_wrong_magic_rejected_typed(self):
         from repro.errors import UnsupportedFormatError
